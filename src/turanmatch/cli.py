@@ -3,7 +3,8 @@
 Subcommands: shift, nu, cover, count, extremal, scan, verify.  Output is a
 single decimal, an edge-list graph, or CSV (comma delimiter, LF endings,
 header row).  Exit codes: 0 success or verification pass, 1 verification
-failure, 2 usage, I/O, or parse error (one-line diagnostic on stderr).
+failure or a check that examined no case, 2 usage, I/O, or parse error
+(one-line diagnostic on stderr).
 
 All randomness flows from --seed (default 0) through Python's Mersenne
 Twister (random.Random), so runs replay exactly across machines.
@@ -30,7 +31,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _read(path: str) -> str:
-    with open(path, "r", encoding="ascii") as fh:
+    with open(path, "r", encoding="ascii", newline="") as fh:  # keep CR, so CRLF is rejected
         return fh.read()
 
 
@@ -140,82 +141,58 @@ def _cmd_scan(args) -> int:
     return 0
 
 
-def _require_flags(args, *flags) -> str | None:
-    missing = [f for f in flags if getattr(args, f) is None]
-    if missing:
-        return f"verify {args.check} requires " + " ".join(f"--{f}" for f in missing)
-    return None
+# check -> (required flags, the one optional flag it honours, runner)
+_VERIFY = {
+    "lemma21": (("n",), "samples", lambda a: oracle.verify_shift_lemmas(
+        a.n, samples=a.samples, edge_prob=a.prob, seed=a.seed, include=("edges", "matching"))),
+    "lemma22": (("n",), "samples", lambda a: oracle.verify_shift_lemmas(
+        a.n, samples=a.samples, edge_prob=a.prob, seed=a.seed, include=("edges", "cliques", "stars"))),
+    "lemma31": (("n",), None, lambda a: oracle.verify_bondy_chvatal(a.n)),
+    "lemma32": (("n", "k"), None, lambda a: oracle.verify_shifted_structure(a.n, a.k)),
+    "koenig": (("n", "k"), None, lambda a: oracle.verify_koenig_gstar(a.n, a.n, a.k)),
+    "thm11": (("n", "k"), "jobs", lambda a: [_agreement_check(
+        "max-edges-vs-formula",
+        oracle.max_over_free(a.n, a.k, 2, jobs=a.jobs),
+        extremal.ex_edges(a.n, a.k))]),
+    "thm12": (("n", "k", "s"), "jobs", lambda a: [_agreement_check(
+        "max-cliques-vs-formula",
+        oracle.max_over_free(a.n, a.k, a.s, jobs=a.jobs),
+        extremal.ex_clique(a.n, a.k, a.s))]),
+    "thm13": (("n", "k", "s", "t"), "jobs", lambda a: [_agreement_check(
+        "max-stars-vs-formula",
+        oracle.max_over_free(a.n, a.k, a.s, a.t, jobs=a.jobs),
+        extremal.ex_star(a.n, a.k, a.s, a.t))]),
+    "thm14": (("n", "k", "s", "t"), "jobs", lambda a: [_agreement_check(
+        "max-bicliques-vs-formula",
+        oracle.max_over_free_bip(a.n, a.n, a.k, a.s, a.t, jobs=a.jobs),
+        extremal.ex_bip(a.n, a.k, a.s, a.t))]),
+}
 
 
 def _cmd_verify(args) -> int:
-    check = args.check
-    if check in ("lemma21", "lemma22"):
-        msg = _require_flags(args, "n")
-        if msg:
-            return _fail(msg)
-        include = ("edges", "matching") if check == "lemma21" else ("edges", "cliques", "stars")
-        checks = oracle.verify_shift_lemmas(
-            args.n, samples=args.samples, edge_prob=args.prob, seed=args.seed, include=include
-        )
-    elif check == "lemma31":
-        msg = _require_flags(args, "n")
-        if msg:
-            return _fail(msg)
-        checks = oracle.verify_bondy_chvatal(args.n)
-    elif check == "lemma32":
-        msg = _require_flags(args, "n", "k")
-        if msg:
-            return _fail(msg)
-        checks = oracle.verify_shifted_structure(args.n, args.k)
-    elif check == "koenig":
-        msg = _require_flags(args, "n", "k")
-        if msg:
-            return _fail(msg)
-        checks = oracle.verify_koenig_gstar(args.n, args.n, args.k)
-    elif check == "thm11":
-        msg = _require_flags(args, "n", "k")
-        if msg:
-            return _fail(msg)
-        witness = oracle.max_over_free(args.n, args.k, 2, jobs=args.jobs)
-        expected = extremal.ex_edges(args.n, args.k)
-        checks = [_agreement_check("max-edges-vs-formula", witness, expected)]
-    elif check == "thm12":
-        msg = _require_flags(args, "n", "k", "s")
-        if msg:
-            return _fail(msg)
-        witness = oracle.max_over_free(args.n, args.k, args.s, jobs=args.jobs)
-        expected = extremal.ex_clique(args.n, args.k, args.s)
-        checks = [_agreement_check("max-cliques-vs-formula", witness, expected)]
-    elif check == "thm13":
-        msg = _require_flags(args, "n", "k", "s", "t")
-        if msg:
-            return _fail(msg)
-        witness = oracle.max_over_free(args.n, args.k, args.s, args.t, jobs=args.jobs)
-        expected = extremal.ex_star(args.n, args.k, args.s, args.t)
-        checks = [_agreement_check("max-stars-vs-formula", witness, expected)]
-    else:  # thm14
-        msg = _require_flags(args, "n", "k", "s", "t")
-        if msg:
-            return _fail(msg)
-        witness = oracle.max_over_free_bip(args.n, args.n, args.k, args.s, args.t, jobs=args.jobs)
-        expected = extremal.ex_bip(args.n, args.k, args.s, args.t)
-        checks = [_agreement_check("max-bicliques-vs-formula", witness, expected)]
+    required, optional, runner = _VERIFY[args.check]
+    missing = [f for f in required if getattr(args, f) is None]
+    if missing:
+        return _fail(f"verify {args.check} requires " + " ".join(f"--{f}" for f in missing))
+    if args.samples is not None and optional != "samples":
+        return _fail(f"verify {args.check} does not take --samples")
+    if args.jobs != 1 and optional != "jobs":
+        return _fail(f"verify {args.check} does not take --jobs")
+    checks = runner(args)
 
     if args.csv:
         lines = ["check,cases,violations,seed,status"]
         for ch in checks:
             seed = "" if ch.seed is None else str(ch.seed)
-            status = "pass" if ch.ok else "fail"
-            lines.append(f"{ch.name},{ch.cases},{len(ch.violations)},{seed},{status}")
+            lines.append(f"{ch.name},{ch.cases},{len(ch.violations)},{seed},{ch.status}")
         sys.stdout.write("\n".join(lines) + "\n")
     else:
         for ch in checks:
-            status = "PASS" if ch.ok else "FAIL"
             seed = "" if ch.seed is None else f" seed={ch.seed}"
-            print(f"{status} {ch.name} cases={ch.cases} violations={len(ch.violations)}{seed}")
+            print(f"{ch.status.upper()} {ch.name} cases={ch.cases} violations={len(ch.violations)}{seed}")
             for v in ch.violations:
                 print(f"  {v}")
-    return 0 if all(ch.ok for ch in checks) else 1
+    return 0 if all(ch.status == "pass" for ch in checks) else 1
 
 
 def _agreement_check(name: str, witness, expected: int) -> oracle.Check:
@@ -281,10 +258,7 @@ def _build_parser() -> _Parser:
     p.set_defaults(func=_cmd_scan)
 
     p = sub.add_parser("verify", help="brute-force verification of a structural law")
-    p.add_argument("check", choices=[
-        "lemma21", "lemma22", "lemma31", "lemma32", "koenig",
-        "thm11", "thm12", "thm13", "thm14",
-    ])
+    p.add_argument("check", choices=list(_VERIFY))
     p.add_argument("--n", type=int)
     p.add_argument("--k", type=int)
     p.add_argument("--s", type=int)
@@ -317,3 +291,7 @@ def dispatch(argv: list[str]) -> int:
 
 def main() -> None:
     sys.exit(dispatch(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    main()

@@ -25,6 +25,31 @@ class StarCliquePair(NamedTuple):
     c2: tuple[int, ...]
 
 
+def _clique_sum(adj, cand: int, common: int, s: int, t: int) -> int:
+    """Sum of C(|common & N(K)|, t) over the s-cliques K inside ``cand``,
+    where N(K) is K's common neighborhood; ``cand`` must lie in ``common``.
+
+    Cliques grow by ascending vertex index, each step intersecting the
+    candidate and common masks with the new vertex's adjacency row.
+    """
+    if s < 0 or t < 0:
+        return 0
+    if s == 0:
+        return comb(common.bit_count(), t)
+    total = 0
+    while cand:
+        if cand.bit_count() < s:
+            break
+        b = cand & -cand
+        cand ^= b
+        nc = common & adj[b.bit_length() - 1]
+        if s == 1:
+            total += comb(nc.bit_count(), t)
+        else:
+            total += _clique_sum(adj, nc & cand, nc, s - 1, t)
+    return total
+
+
 def _clique_top_sum(adj, n: int, s: int, t: int) -> int:
     """Sum of C(|common neighborhood|, t) over all s-cliques.
 
@@ -32,29 +57,27 @@ def _clique_top_sum(adj, n: int, s: int, t: int) -> int:
     intersections; the t-side is closed in O(1) per clique via a binomial of
     the common neighborhood's popcount.
     """
-    if s < 0 or t < 0:
-        return 0
-    if s == 0:
-        return comb(n, t)
-    total = 0
-
-    def rec(cand: int, common: int, left: int) -> None:
-        nonlocal total
-        if left == 0:
-            total += comb(common.bit_count(), t)
-            return
-        m = cand
-        while m:
-            if m.bit_count() < left:
-                return
-            b = m & -m
-            m ^= b
-            nc = common & adj[b.bit_length() - 1]
-            rec(nc & m, nc, left - 1)
-
     full = (1 << n) - 1
-    rec(full, full, s)
-    return total
+    return _clique_sum(adj, full, full, s, t)
+
+
+def _clique_gain(adj, u: int, v: int, s: int, t: int) -> int:
+    """Increase of ``_clique_top_sum(adj, n, s, t)`` when the absent edge uv
+    is added (0-based rows, u != v).
+
+    The new (C1, C2) copies are exactly those that use uv.  Either uv lies
+    inside C1 = K + {u, v}, with K an (s-2)-clique in N(u) & N(v) and C2 a
+    t-subset of N(K) & N(u) & N(v); or it crosses, C1 = K + {a} and C2 =
+    {b} + D for (a, b) in {(u, v), (v, u)}, with K an (s-1)-clique in
+    N(u) & N(v) and D a (t-1)-subset of N(K) & N(a).  Neighborhoods are read
+    before the edge is added, so b is not in N(a).
+    """
+    both = adj[u] & adj[v]
+    gain = _clique_sum(adj, both, both, s - 2, t)
+    if t >= 1:
+        gain += _clique_sum(adj, both, adj[u], s - 1, t - 1)
+        gain += _clique_sum(adj, both, adj[v], s - 1, t - 1)
+    return gain
 
 
 def count_cliques(g: Graph, s: int) -> int:

@@ -274,8 +274,11 @@ def extremal_graph(n: int, k: int, ell: int) -> Graph:
 #
 # General graphs:    first line "n m", then exactly m lines "u v" with
 #                    1 <= u < v <= n.  Bipartite graphs: first line "nx ny m",
-#                    then m lines "u v" with u in 1..nx, v in 1..ny.  LF line
-#                    endings, no comments, decimal labels, single spaces.
+#                    then m lines "u v" with u in 1..nx, v in 1..ny.  Edge
+#                    lines in increasing (u, v) order, LF line endings (the
+#                    last may be omitted), no comments, ASCII decimal numbers
+#                    without sign or leading zeros, single spaces.  So every
+#                    file that parses is the serializer's output for its graph.
 
 
 def _split_lines(text: str) -> list[str]:
@@ -285,14 +288,19 @@ def _split_lines(text: str) -> list[str]:
     return lines
 
 
+def _is_decimal(token: str) -> bool:
+    """True iff token is 0 or an ASCII digit string without a leading zero."""
+    return token.isascii() and token.isdigit() and (token == "0" or token[0] != "0")
+
+
 def _parse_ints(line: str, count: int, lineno: int) -> list[int]:
     parts = line.split(" ")
-    if len(parts) != count or any(p == "" for p in parts):
-        raise MalformedLineError(f"line {lineno}: expected {count} space-separated integers")
-    try:
-        return [int(p) for p in parts]
-    except ValueError:
-        raise MalformedLineError(f"line {lineno}: expected {count} space-separated integers") from None
+    if len(parts) == count and all(_is_decimal(p) for p in parts):
+        try:
+            return [int(p) for p in parts]
+        except ValueError:  # beyond the interpreter's integer-string digit limit
+            pass
+    raise MalformedLineError(f"line {lineno}: expected {count} space-separated integers")
 
 
 def parse_graph(text: str) -> Graph:
@@ -305,12 +313,11 @@ def parse_graph(text: str) -> Graph:
     if not lines:
         raise MalformedLineError("line 1: missing header")
     n, m = _parse_ints(lines[0], 2, 1)
-    if n < 0 or m < 0:
-        raise MalformedLineError("line 1: negative header values")
     _check_vertex_count(n)
     if len(lines) - 1 != m:
         raise MalformedLineError(f"expected {m} edge lines, found {len(lines) - 1}")
     rows = [0] * n
+    last = (0, 0)
     for i, line in enumerate(lines[1:], start=2):
         u, v = _parse_ints(line, 2, i)
         if u == v:
@@ -321,6 +328,9 @@ def parse_graph(text: str) -> Graph:
             raise LabelRangeError(f"line {i}: labels ({u}, {v}) outside 1..{n}")
         if rows[u - 1] >> (v - 1) & 1:
             raise DuplicateEdgeError(f"line {i}: duplicate edge ({u}, {v})")
+        if (u, v) < last:
+            raise MalformedLineError(f"line {i}: edges must be listed in increasing (u, v) order")
+        last = (u, v)
         rows[u - 1] |= 1 << (v - 1)
         rows[v - 1] |= 1 << (u - 1)
     return Graph(n, rows)
@@ -339,13 +349,12 @@ def parse_bipartite(text: str) -> BipartiteGraph:
     if not lines:
         raise MalformedLineError("line 1: missing header")
     nx, ny, m = _parse_ints(lines[0], 3, 1)
-    if nx < 0 or ny < 0 or m < 0:
-        raise MalformedLineError("line 1: negative header values")
     _check_vertex_count(nx)
     _check_vertex_count(ny)
     if len(lines) - 1 != m:
         raise MalformedLineError(f"expected {m} edge lines, found {len(lines) - 1}")
     rows = [0] * nx
+    last = (0, 0)
     for i, line in enumerate(lines[1:], start=2):
         u, v = _parse_ints(line, 2, i)
         if not (1 <= u <= nx):
@@ -354,6 +363,9 @@ def parse_bipartite(text: str) -> BipartiteGraph:
             raise LabelRangeError(f"line {i}: Y-label {v} outside 1..{ny}")
         if rows[u - 1] >> (v - 1) & 1:
             raise DuplicateEdgeError(f"line {i}: duplicate edge ({u}, {v})")
+        if (u, v) < last:
+            raise MalformedLineError(f"line {i}: edges must be listed in increasing (u, v) order")
+        last = (u, v)
         rows[u - 1] |= 1 << (v - 1)
     return BipartiteGraph(nx, ny, rows)
 

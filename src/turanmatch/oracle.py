@@ -7,17 +7,25 @@ by instance, reporting any counterexample in full.
 
 Enumeration prunes a branch as soon as the partial graph's matching number
 exceeds k, which discards only graphs whose every completion is also over
-the bound.  Witness ties break on the smallest edge mask under the canonical
-lexicographic slot order, so merges are order independent.
+the bound; when k >= n/2 nothing can exceed it and the feasibility test is
+skipped.  The general scan carries the pattern count down the edge-slot
+recursion: adding edge uv adds only the copies that use uv, so no leaf is
+recounted.  The bipartite scan scores one member per orbit of X-row
+permutations, the nonincreasing row tuple, which is the orbit's smallest
+mask and shares its matching number and biclique count.  Witness ties break
+on the smallest edge mask under the canonical lexicographic slot order, so
+merges are order independent.
 """
 
 from __future__ import annotations
 
+import os
 import random
 from dataclasses import dataclass
+from itertools import combinations_with_replacement
 from multiprocessing import get_context
 
-from .counting import _clique_top_sum, _oriented_bip, count_bip
+from .counting import _clique_gain, _clique_top_sum, _oriented_bip, count_bip
 from .errors import CapacityError, ParameterRangeError
 from .extremal import ExtremalParams, binom, bip_split_count, bip_split_count_sym
 from .graph import BipartiteGraph, Graph, extremal_graph
@@ -49,6 +57,14 @@ class Check:
     @property
     def ok(self) -> bool:
         return not self.violations
+
+    @property
+    def status(self) -> str:
+        """"fail" with violations, "empty" when no case was examined (nothing
+        was verified), otherwise "pass"."""
+        if self.violations:
+            return "fail"
+        return "pass" if self.cases else "empty"
 
 
 def _edge_slots(n: int) -> list[tuple[int, int]]:
@@ -94,6 +110,7 @@ def iter_free_graphs(n: int, k: int):
     slots = _edge_slots(n)
     adj = [0] * n
     full = (1 << n) - 1
+    bounded = k < n // 2  # otherwise no graph on n vertices exceeds the bound
 
     def rec(idx: int, nu: int):
         if idx == len(slots):
@@ -101,7 +118,7 @@ def iter_free_graphs(n: int, k: int):
             return
         yield from rec(idx + 1, nu)
         u, v = slots[idx]
-        inc = _exists_matching(adj, full ^ (1 << u) ^ (1 << v), nu)
+        inc = bounded and _exists_matching(adj, full ^ (1 << u) ^ (1 << v), nu)
         if not (nu == k and inc):
             adj[u] |= 1 << v
             adj[v] |= 1 << u
@@ -113,15 +130,21 @@ def iter_free_graphs(n: int, k: int):
 
 
 def _scan_free_max(n, k, s, t, prefix_mask, prefix_len):
-    """Best (value, mask) over free graphs extending a fixed slot prefix."""
+    """Best (value, mask) over free graphs extending a fixed slot prefix.
+
+    The pattern count travels down the recursion: the prefix graph is counted
+    once, and each added edge adds only the copies that use it.
+    """
     slots = _edge_slots(n)
+    nslots = len(slots)
     adj = [0] * n
     full = (1 << n) - 1
+    bounded = k < n // 2  # otherwise no graph on n vertices exceeds the bound
     nu = 0
     for idx in range(prefix_len):
         if prefix_mask >> idx & 1:
             u, v = slots[idx]
-            inc = _exists_matching(adj, full ^ (1 << u) ^ (1 << v), nu)
+            inc = bounded and _exists_matching(adj, full ^ (1 << u) ^ (1 << v), nu)
             if nu == k and inc:
                 return None
             adj[u] |= 1 << v
@@ -130,25 +153,25 @@ def _scan_free_max(n, k, s, t, prefix_mask, prefix_len):
     best_value = -1
     best_mask = 0
 
-    def rec(idx: int, mask: int, nu: int) -> None:
+    def rec(idx: int, mask: int, nu: int, value: int) -> None:
         nonlocal best_value, best_mask
-        if idx == len(slots):
-            value = _clique_top_sum(adj, n, s, t)
+        if idx == nslots:
             if value > best_value or (value == best_value and mask < best_mask):
                 best_value = value
                 best_mask = mask
             return
-        rec(idx + 1, mask, nu)
+        rec(idx + 1, mask, nu, value)
         u, v = slots[idx]
-        inc = _exists_matching(adj, full ^ (1 << u) ^ (1 << v), nu)
+        inc = bounded and _exists_matching(adj, full ^ (1 << u) ^ (1 << v), nu)
         if not (nu == k and inc):
+            gain = _clique_gain(adj, u, v, s, t)
             adj[u] |= 1 << v
             adj[v] |= 1 << u
-            rec(idx + 1, mask | (1 << idx), nu + (1 if inc else 0))
+            rec(idx + 1, mask | (1 << idx), nu + (1 if inc else 0), value + gain)
             adj[u] &= ~(1 << v)
             adj[v] &= ~(1 << u)
 
-    rec(prefix_len, prefix_mask, nu)
+    rec(prefix_len, prefix_mask, nu, _clique_top_sum(adj, n, s, t))
     return best_value, best_mask
 
 
@@ -162,13 +185,23 @@ def _merge_best(results):
     return best
 
 
+def _run_tasks(scan, tasks, jobs: int):
+    """Run ``scan`` over the task tuples on min(jobs, tasks) worker
+    processes; a single worker runs in this process."""
+    workers = min(jobs, len(tasks))
+    if workers == 1:
+        return [scan(*task) for task in tasks]
+    with get_context("fork").Pool(workers) as pool:
+        return pool.starmap(scan, tasks)
+
+
 def max_over_free(n: int, k: int, s: int, t: int | None = None, jobs: int = 1) -> Witness:
     """Exact maximum of a pattern count over all n-vertex graphs with
     matching number <= k, plus a witness graph.
 
     ``t is None`` counts s-cliques; otherwise (s-clique joined to t-set)
-    pairs.  ``jobs`` partitions the slot prefixes across worker processes;
-    the merged result is identical for any job count.
+    pairs.  ``jobs`` partitions the slot prefixes across worker processes
+    (at most one per core); the merged result is identical for any job count.
     """
     if n > MAX_ORACLE_VERTICES:
         raise CapacityError(f"exhaustive search capped at n <= {MAX_ORACLE_VERTICES}")
@@ -176,31 +209,40 @@ def max_over_free(n: int, k: int, s: int, t: int | None = None, jobs: int = 1) -
         raise ValueError(f"bad arguments n={n}, k={k}, s={s}, t={t}, jobs={jobs}")
     tt = 0 if t is None else t
     slots = _edge_slots(n)
-    if jobs > 1 and slots:
-        plen = min(len(slots), (4 * jobs - 1).bit_length())
-        tasks = [(n, k, s, tt, pm, plen) for pm in range(1 << plen)]
-        with get_context("fork").Pool(jobs) as pool:
-            results = pool.starmap(_scan_free_max, tasks)
-    else:
-        results = [_scan_free_max(n, k, s, tt, 0, 0)]
-    value, mask = _merge_best(results)
+    jobs = min(jobs, os.cpu_count() or 1)  # never more workers than cores
+    plen = min(len(slots), (4 * jobs - 1).bit_length()) if jobs > 1 else 0
+    tasks = [(n, k, s, tt, pm, plen) for pm in range(1 << plen)]
+    value, mask = _merge_best(_run_tasks(_scan_free_max, tasks, jobs))
     graph = Graph(n, _rows_from_mask(n, mask, slots))
     return Witness(graph, value, ExtremalParams(n=n, k=k, s=s, t=t))
 
 
-def _scan_bip_max(nx, ny, k, s, t, lo, hi):
-    """Best (value, mask) over biadjacency masks in [lo, hi) with nu <= k."""
+def _scan_bip_max(nx, ny, k, s, t, firsts):
+    """Best (value, mask) over row tuples with rows[0] in ``firsts`` and
+    rows[0] >= rows[1] >= ... >= rows[nx-1], and nu <= k.
+
+    Row nx-1 is the most significant in the mask, so each tuple is the
+    smallest mask among its row permutations; the matching number and the
+    biclique count do not change under them.  Scoring only these tuples
+    therefore keeps both the maximum and its smallest-mask witness.
+    """
     best_value = -1
     best_mask = 0
-    row_bits = (1 << ny) - 1
-    for mask in range(lo, hi):
-        rows = [(mask >> (x * ny)) & row_bits for x in range(nx)]
-        size, _ = _bip_nu(rows, nx, ny)
-        if size > k:
+    bounded = k < min(nx, ny)  # otherwise no graph exceeds the bound
+    if nx:
+        candidates = ((first, *tail[::-1]) for first in firsts
+                      for tail in combinations_with_replacement(range(first + 1), nx - 1))
+    else:
+        candidates = [()]
+    for rows in candidates:
+        if bounded and _bip_nu(rows, nx, ny)[0] > k:
             continue
         value = _oriented_bip(rows, ny, s, t)
         if s != t:
             value += _oriented_bip(rows, ny, t, s)
+        mask = 0
+        for x in range(nx - 1, -1, -1):
+            mask = mask << ny | rows[x]
         if value > best_value or (value == best_value and mask < best_mask):
             best_value = value
             best_mask = mask
@@ -209,21 +251,21 @@ def _scan_bip_max(nx, ny, k, s, t, lo, hi):
 
 def max_over_free_bip(nx: int, ny: int, k: int, s: int, t: int, jobs: int = 1) -> Witness:
     """Exact maximum of the (s, t)-biclique count over bipartite graphs with
-    parts of sizes nx, ny and matching number <= k, plus a witness."""
+    parts of sizes nx, ny and matching number <= k, plus a witness.
+
+    ``jobs`` splits the scan by the value of the first row across worker
+    processes (at most one per core); the merged result is identical for
+    any job count.
+    """
     if nx * ny > MAX_ORACLE_BIP_SLOTS:
         raise CapacityError(f"exhaustive bipartite search capped at nx*ny <= {MAX_ORACLE_BIP_SLOTS}")
     if nx < 0 or ny < 0 or k < 0 or s < 1 or t < 1 or jobs < 1:
         raise ValueError(f"bad arguments nx={nx}, ny={ny}, k={k}, s={s}, t={t}, jobs={jobs}")
-    total = 1 << (nx * ny)
-    if jobs > 1 and total >= 4 * jobs:
-        chunk = total // (4 * jobs)
-        bounds = list(range(0, total, chunk)) + [total]
-        tasks = [(nx, ny, k, s, t, bounds[i], bounds[i + 1]) for i in range(len(bounds) - 1)]
-        with get_context("fork").Pool(jobs) as pool:
-            results = pool.starmap(_scan_bip_max, tasks)
-    else:
-        results = [_scan_bip_max(nx, ny, k, s, t, 0, total)]
-    value, mask = _merge_best(results)
+    jobs = min(jobs, os.cpu_count() or 1)  # never more workers than cores
+    top = (1 << ny) if nx else 1
+    stride = min(4 * jobs, top) if jobs > 1 else 1  # interleaved: big rows[0] cost most
+    tasks = [(nx, ny, k, s, t, range(i, top, stride)) for i in range(stride)]
+    value, mask = _merge_best(_run_tasks(_scan_bip_max, tasks, jobs))
     row_bits = (1 << ny) - 1
     rows = [(mask >> (x * ny)) & row_bits for x in range(nx)]
     return Witness(BipartiteGraph(nx, ny, rows), value, ExtremalParams(n=nx, k=k, s=s, t=t))
@@ -269,6 +311,8 @@ def verify_shift_lemmas(
     else:
         if n < 2:
             raise ValueError("random mode needs n >= 2")
+        if samples < 1:
+            raise ValueError(f"need samples >= 1, got {samples}")
         if n > 28:
             raise CapacityError("random shift verification capped at n <= 28")
         if not 0.0 <= edge_prob <= 1.0:

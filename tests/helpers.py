@@ -1,8 +1,13 @@
-"""Shared test utilities: mask-indexed graph enumeration and naive counters.
+"""Shared test utilities: mask-indexed graph enumeration, naive counters and
+reference exhaustive scans.
 
 The naive counters enumerate vertex subsets directly with itertools and touch
 only Graph.has_edge / BipartiteGraph.has_edge, so they are an independent
 code path from the bitmask kernels they are used to check.
+
+The reference scans are the straightforward exhaustive maxima the oracle's
+scans must reproduce: they recount the pattern at every leaf and score every
+biadjacency mask, with the same smallest-mask tie-break.
 """
 
 from itertools import combinations
@@ -10,6 +15,8 @@ from itertools import combinations
 from hypothesis import strategies as st
 
 from turanmatch import BipartiteGraph, Graph
+from turanmatch.counting import _clique_top_sum, _oriented_bip
+from turanmatch.matching import _bip_nu, _exists_matching
 
 
 def edge_slots(n):
@@ -90,3 +97,70 @@ def bip_graphs(draw, max_nx=4, max_ny=5):
     ny = draw(st.integers(1, max_ny))
     mask = draw(st.integers(0, (1 << (nx * ny)) - 1))
     return bip_from_mask(nx, ny, mask)
+
+
+def ref_scan_free_max(n, k, s, t=None):
+    """(value, mask) of the best graph on n vertices with matching number
+    <= k: pruned edge-slot DFS, full pattern recount at every leaf."""
+    tt = 0 if t is None else t
+    slots = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    adj = [0] * n
+    full = (1 << n) - 1
+    best = [-1, 0]
+
+    def rec(idx, mask, nu):
+        if idx == len(slots):
+            value = _clique_top_sum(adj, n, s, tt)
+            if value > best[0] or (value == best[0] and mask < best[1]):
+                best[:] = [value, mask]
+            return
+        rec(idx + 1, mask, nu)
+        u, v = slots[idx]
+        inc = _exists_matching(adj, full ^ (1 << u) ^ (1 << v), nu)
+        if not (nu == k and inc):
+            adj[u] |= 1 << v
+            adj[v] |= 1 << u
+            rec(idx + 1, mask | (1 << idx), nu + (1 if inc else 0))
+            adj[u] &= ~(1 << v)
+            adj[v] &= ~(1 << u)
+
+    rec(0, 0, 0)
+    return tuple(best)
+
+
+def ref_scan_bip_max(nx, ny, k, s, t):
+    """(value, mask) of the best biadjacency mask with matching number <= k,
+    scoring every one of the 2^(nx*ny) masks."""
+    best_value, best_mask = -1, 0
+    row_bits = (1 << ny) - 1
+    for mask in range(1 << (nx * ny)):
+        rows = [(mask >> (x * ny)) & row_bits for x in range(nx)]
+        if _bip_nu(rows, nx, ny)[0] > k:
+            continue
+        value = _oriented_bip(rows, ny, s, t)
+        if s != t:
+            value += _oriented_bip(rows, ny, t, s)
+        if value > best_value or (value == best_value and mask < best_mask):
+            best_value, best_mask = value, mask
+    return best_value, best_mask
+
+
+class InlinePool:
+    """Stand-in for ``get_context(...)``: records the requested worker count
+    and runs ``starmap`` in this process, so no process starts."""
+
+    def __init__(self):
+        self.workers = []
+
+    def Pool(self, workers):
+        self.workers.append(workers)
+        return self
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def starmap(self, func, tasks):
+        return [func(*task) for task in tasks]

@@ -1,5 +1,11 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import turanmatch
 from turanmatch import compress, parse_graph, serialize_graph
 from turanmatch.cli import dispatch
 
@@ -123,6 +129,54 @@ def test_verify_missing_flags(capsys):
     assert code == 2 and "--s" in err
     code, _, err = run(capsys, "verify", "lemma32", "--n", "5")
     assert code == 2 and "--k" in err
+
+
+def test_verify_zero_cases_is_not_a_pass(capsys):
+    code, out, _ = run(capsys, "verify", "koenig", "--n", "2", "--k", "3")
+    assert code == 1
+    assert [line.split()[0] for line in out.splitlines()] == ["EMPTY"] * 4
+    assert all("cases=0" in line for line in out.splitlines())
+    code, out, _ = run(capsys, "verify", "koenig", "--n", "2", "--k", "3", "--csv")
+    assert code == 1
+    assert out.splitlines()[1] == "koenig-duality,0,0,,empty"
+
+
+def test_verify_rejects_flags_it_would_ignore(capsys):
+    for argv in (
+        ("lemma31", "--n", "4", "--samples", "7"),
+        ("lemma32", "--n", "5", "--k", "2", "--samples", "7"),
+        ("koenig", "--n", "3", "--k", "1", "--samples", "7"),
+        ("thm12", "--n", "5", "--k", "2", "--s", "2", "--samples", "7"),
+        ("thm14", "--n", "3", "--k", "1", "--s", "1", "--t", "1", "--samples", "7"),
+        ("lemma21", "--n", "4", "--jobs", "2"),
+        ("lemma22", "--n", "4", "--jobs", "2"),
+        ("lemma31", "--n", "4", "--jobs", "2"),
+        ("lemma32", "--n", "5", "--k", "2", "--jobs", "2"),
+        ("koenig", "--n", "3", "--k", "1", "--jobs", "2"),
+        ("lemma21", "--n", "8", "--samples", "-5"),
+        ("lemma21", "--n", "8", "--samples", "0"),
+    ):
+        code, out, err = run(capsys, "verify", *argv)
+        assert code == 2 and out == "" and err.startswith("error:"), argv
+
+
+def test_out_of_format_files_exit_2(tmp_path, capsys):
+    for name, data in (("plus", b"4 3\n+1 2\n2 3\n3 4\n"), ("crlf", b"4 3\r\n1 2\r\n2 3\r\n3 4\r\n")):
+        path = tmp_path / name
+        path.write_bytes(data)
+        code, out, err = run(capsys, "count", "--input", str(path), "--pattern", "clique:2")
+        assert code == 2 and out == "" and "parse" in err, name
+
+
+def test_python_m_entry_point():
+    src = str(Path(turanmatch.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    for module in ("turanmatch", "turanmatch.cli"):
+        proc = subprocess.run(
+            [sys.executable, "-m", module, "extremal", "edges", "--n", "5", "--k", "1"],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "4\n", ""), module
 
 
 def test_verify_failure_exit_code(capsys, monkeypatch):

@@ -1,7 +1,8 @@
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from helpers import (
     all_graphs,
@@ -24,6 +25,7 @@ from turanmatch import (
     extremal_graph,
     extremal_star_count,
 )
+from turanmatch.counting import _clique_gain, _clique_top_sum
 
 
 def _complete_bip(nx, ny):
@@ -138,3 +140,16 @@ def test_counts_on_construction_match_closed_forms():
                     assert count_cliques(g, s) == extremal_clique_count(n, k, ell, s)
                     for t in (1, 2, 3):
                         assert count_star(g, s, t) == extremal_star_count(n, k, ell, s, t)
+
+
+@given(graphs(min_n=2, max_n=9), st.data())
+def test_clique_gain_equals_recount_difference(g, data):
+    non_edges = [(u, v) for u in range(g.n) for v in range(u + 1, g.n) if not g.adj[u] >> v & 1]
+    assume(non_edges)
+    u, v = data.draw(st.sampled_from(non_edges))
+    s = data.draw(st.integers(0, 5))
+    t = data.draw(st.integers(0, 4))
+    h = g.add_edge(u + 1, v + 1)
+    diff = _clique_top_sum(h.adj, g.n, s, t) - _clique_top_sum(g.adj, g.n, s, t)
+    assert _clique_gain(g.adj, u, v, s, t) == diff
+    assert _clique_gain(g.adj, v, u, s, t) == diff

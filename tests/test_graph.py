@@ -1,5 +1,6 @@
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from helpers import all_graphs, bip_graphs, graphs
 from turanmatch import (
@@ -11,6 +12,7 @@ from turanmatch import (
     LabelRangeError,
     MalformedLineError,
     ParameterRangeError,
+    ParseError,
     SelfLoopError,
     complete_graph,
     empty_graph,
@@ -142,6 +144,59 @@ def test_parse_distinct_errors():
         parse_graph("3 1\n1 4")
     with pytest.raises(LabelRangeError):
         parse_graph("3 1\n0 2")
+
+
+def test_parse_rejects_text_outside_the_format():
+    for text in (
+        "4 3\n+1 2\n2 3\n3 4\n",
+        "4 3\n01 2\n2 3\n3 4\n",
+        "12 3\n1 2\n2 3\n1_0 11\n",
+        "4 3\n1 \t2\n2 3\n3 4\n",
+        "4 3\r\n1 2\r\n2 3\r\n3 4\r\n",
+        "\uff13 0\n",  # full-width digit
+        "-1 0\n",
+        "3 2\n2 3\n1 2\n",  # edges out of order
+        "1 0\n" + "9" * 5000,
+    ):
+        with pytest.raises(MalformedLineError):
+            parse_graph(text)
+    with pytest.raises(MalformedLineError):
+        parse_bipartite("2 3 2\n2 1\n1 3\n")
+    with pytest.raises(MalformedLineError):
+        parse_bipartite("02 3 0\n")
+
+
+@st.composite
+def edge_list_texts(draw):
+    """Serialized graphs with a few random edits, or short arbitrary text."""
+    alphabet = "0123456789 \n\r\t+-_\uff11"
+    if draw(st.booleans()):
+        return draw(st.text(alphabet=alphabet, max_size=24))
+    text = serialize_graph(draw(graphs(max_n=6)))
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(text)))
+        op = draw(st.sampled_from(("insert", "delete", "replace", "swap-lines")))
+        if op == "swap-lines":
+            lines = text.split("\n")
+            a, b = draw(st.integers(0, len(lines) - 1)), draw(st.integers(0, len(lines) - 1))
+            lines[a], lines[b] = lines[b], lines[a]
+            text = "\n".join(lines)
+        else:
+            c = "" if op == "delete" else draw(st.sampled_from(alphabet))
+            text = text[:i] + c + text[i + (op != "insert"):]
+    return text
+
+
+@given(edge_list_texts())
+def test_parse_accepts_only_canonical_text(text):
+    try:
+        g = parse_graph(text)
+    except ParseError:
+        return
+    except CapacityError:  # a well-formed header beyond the 64-vertex cap
+        return
+    # The only latitude the format allows is leaving out the final LF.
+    assert serialize_graph(g) == (text if text.endswith("\n") else text + "\n")
 
 
 def test_serialize_format():

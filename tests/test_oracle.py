@@ -1,6 +1,13 @@
 import pytest
 
-from helpers import all_graphs
+from helpers import (
+    InlinePool,
+    all_graphs,
+    bip_from_mask,
+    graph_from_mask,
+    ref_scan_bip_max,
+    ref_scan_free_max,
+)
 from turanmatch import (
     CapacityError,
     ParameterRangeError,
@@ -100,6 +107,9 @@ def test_verify_shift_lemmas_validation():
         verify_shift_lemmas(1, samples=10)
     with pytest.raises(ValueError):
         verify_shift_lemmas(5, samples=10, edge_prob=1.5)
+    for samples in (0, -5):
+        with pytest.raises(ValueError):
+            verify_shift_lemmas(8, samples=samples)
 
 
 def test_verify_shifted_structure_small():
@@ -172,3 +182,52 @@ def test_verify_koenig_gstar_small():
             "gstar-formula",
         ]
         assert checks[0].cases > 0
+
+
+def _inline_pool(monkeypatch, cores=2):
+    """Route the worker pool through InlinePool, on a stated core count."""
+    pool = InlinePool()
+    monkeypatch.setattr("turanmatch.oracle.get_context", lambda method: pool)
+    monkeypatch.setattr("turanmatch.oracle.os.cpu_count", lambda: cores)
+    return pool
+
+
+def test_max_over_free_matches_leaf_recount_reference(monkeypatch):
+    pool = _inline_pool(monkeypatch)
+    for n in range(1, 7):
+        patterns = [(s, None) for s in range(1, n + 1)]
+        patterns += [(s, t) for s in range(1, n) for t in range(1, n - s + 1)]
+        for k in range(4):
+            for s, t in patterns:
+                value, mask = ref_scan_free_max(n, k, s, t)
+                expected = (value, graph_from_mask(n, mask).edges())
+                for jobs in (1, 2):
+                    w = max_over_free(n, k, s, t, jobs=jobs)
+                    assert (w.value, w.graph.edges()) == expected, (n, k, s, t, jobs)
+    assert pool.workers  # the jobs = 2 runs went through the prefix split
+
+
+def test_max_over_free_bip_matches_full_mask_reference(monkeypatch):
+    pool = _inline_pool(monkeypatch)
+    for nx in range(13):
+        for ny in range(13):
+            if nx * ny > 12:
+                continue
+            for k in range(min(nx, ny) + 1):
+                for s, t in ((1, 1), (1, 2), (2, 2), (2, 3)):
+                    value, mask = ref_scan_bip_max(nx, ny, k, s, t)
+                    expected = (value, bip_from_mask(nx, ny, mask).edges())
+                    for jobs in (1, 2):
+                        w = max_over_free_bip(nx, ny, k, s, t, jobs=jobs)
+                        assert (w.value, w.graph.edges()) == expected, (nx, ny, k, s, t, jobs)
+    assert pool.workers
+
+
+def test_jobs_clamped_to_cores_and_tasks(monkeypatch):
+    pool = _inline_pool(monkeypatch, cores=3)
+    assert max_over_free(5, 2, 2, jobs=8) == max_over_free(5, 2, 2)  # 16 prefix tasks
+    monkeypatch.setattr("turanmatch.oracle.os.cpu_count", lambda: 16)
+    assert max_over_free_bip(1, 2, 1, 1, 1, jobs=8) == max_over_free_bip(1, 2, 1, 1, 1)  # 4 tasks
+    monkeypatch.setattr("turanmatch.oracle.os.cpu_count", lambda: None)
+    max_over_free(4, 1, 2, jobs=8)  # one worker: no pool
+    assert pool.workers == [3, 4]
