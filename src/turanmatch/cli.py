@@ -7,7 +7,8 @@ failure or a check that examined no case, 2 usage, I/O, or parse error
 (one-line diagnostic on stderr).
 
 All randomness flows from --seed (default 0) through Python's Mersenne
-Twister (random.Random), so runs replay exactly across machines.
+Twister (random.Random), so runs replay exactly across machines.  A command
+rejects with exit 2 a flag it would ignore.
 """
 
 from __future__ import annotations
@@ -106,78 +107,108 @@ def _cmd_count(args) -> int:
     return 0
 
 
+def _flag_error(command: str, used: tuple[str, ...], args, flags=("s", "t")) -> str | None:
+    """Diagnostic for the ``flags`` that ``command`` uses but were not given,
+    or were given but ``command`` would ignore."""
+    given = [f for f in flags if getattr(args, f) is not None]
+    missing = [f"--{f}" for f in used if f not in given]
+    if missing:
+        return f"{command} requires " + " ".join(missing)
+    unused = [f"--{f}" for f in given if f not in used]
+    return f"{command} does not take " + " ".join(unused) if unused else None
+
+
+# family -> (flags it uses, closed form)
+_EXTREMAL = {
+    "edges": ((), lambda a: extremal.ex_edges(a.n, a.k)),
+    "clique": (("s",), lambda a: extremal.ex_clique(a.n, a.k, a.s)),
+    "star": (("s", "t"), lambda a: extremal.ex_star(a.n, a.k, a.s, a.t)),
+    "bip": (("s", "t"), lambda a: extremal.ex_bip(a.n, a.k, a.s, a.t)),
+}
+
+
 def _cmd_extremal(args) -> int:
-    need = {"edges": (), "clique": ("s",), "star": ("s", "t"), "bip": ("s", "t")}
-    for flag in need[args.family]:
-        if getattr(args, flag) is None:
-            return _fail(f"extremal {args.family} requires --{flag}")
-    if args.family == "edges":
-        print(extremal.ex_edges(args.n, args.k))
-    elif args.family == "clique":
-        print(extremal.ex_clique(args.n, args.k, args.s))
-    elif args.family == "star":
-        print(extremal.ex_star(args.n, args.k, args.s, args.t))
-    else:
-        print(extremal.ex_bip(args.n, args.k, args.s, args.t))
+    used, formula = _EXTREMAL[args.family]
+    error = _flag_error(f"extremal {args.family}", used, args)
+    if error:
+        return _fail(error)
+    print(formula(args))
     return 0
 
 
+# family -> (flags it uses, swept parameter range, construction count)
+_SCAN = {
+    "H-clique": (("s",), lambda a: range(a.k + 1, 2 * a.k + 2),
+                 lambda a, ell: extremal.extremal_clique_count(a.n, a.k, ell, a.s)),
+    "H-star": (("s", "t"), lambda a: range(a.k + 1, 2 * a.k + 2),
+               lambda a, ell: extremal.extremal_star_count(a.n, a.k, ell, a.s, a.t)),
+    "bip-f": (("s", "t"), lambda a: range(a.k + 1),
+              lambda a, x: extremal.bip_split_count(a.n, a.k, x, a.s, a.t)),
+}
+
+
 def _cmd_scan(args) -> int:
-    rows = ["param,value"]
-    if args.family == "H-clique":
-        for ell in range(args.k + 1, 2 * args.k + 2):
-            rows.append(f"{ell},{extremal.extremal_clique_count(args.n, args.k, ell, args.s)}")
-    elif args.family == "H-star":
-        if args.t is None:
-            return _fail("scan --family H-star requires --t")
-        for ell in range(args.k + 1, 2 * args.k + 2):
-            rows.append(f"{ell},{extremal.extremal_star_count(args.n, args.k, ell, args.s, args.t)}")
-    else:  # bip-f
-        if args.t is None:
-            return _fail("scan --family bip-f requires --t")
-        for x in range(args.k + 1):
-            rows.append(f"{x},{extremal.bip_split_count(args.n, args.k, x, args.s, args.t)}")
+    used, params, count = _SCAN[args.family]
+    error = _flag_error(f"scan --family {args.family}", used, args)
+    if error:
+        return _fail(error)
+    rows = ["param,value"] + [f"{p},{count(args, p)}" for p in params(args)]
     sys.stdout.write("\n".join(rows) + "\n")
     return 0
 
 
+def _shift_laws(include: tuple[str, ...]):
+    return lambda a: oracle.verify_shift_lemmas(
+        a.n, samples=a.samples, edge_prob=0.5 if a.prob is None else a.prob,
+        seed=0 if a.seed is None else a.seed, include=include)
+
+
+def _agreement(name: str, formula, scan):
+    """Runner comparing a closed form with the oracle's maximum.  The formula
+    goes first, so a parameter outside its range fails before the scan."""
+    def run(a):
+        expected = formula(a)
+        witness = scan(a)
+        if witness.value == expected:
+            return [oracle.Check(name, 1, ())]
+        detail = f"oracle={witness.value} formula={expected} witness={_witness_text(witness.graph)}"
+        return [oracle.Check(name, 1, (detail,))]
+    return run
+
+
 # check -> (required flags, the one optional flag it honours, runner)
 _VERIFY = {
-    "lemma21": (("n",), "samples", lambda a: oracle.verify_shift_lemmas(
-        a.n, samples=a.samples, edge_prob=a.prob, seed=a.seed, include=("edges", "matching"))),
-    "lemma22": (("n",), "samples", lambda a: oracle.verify_shift_lemmas(
-        a.n, samples=a.samples, edge_prob=a.prob, seed=a.seed, include=("edges", "cliques", "stars"))),
+    "lemma21": (("n",), "samples", _shift_laws(("edges", "matching"))),
+    "lemma22": (("n",), "samples", _shift_laws(("edges", "cliques", "stars"))),
     "lemma31": (("n",), None, lambda a: oracle.verify_bondy_chvatal(a.n)),
     "lemma32": (("n", "k"), None, lambda a: oracle.verify_shifted_structure(a.n, a.k)),
     "koenig": (("n", "k"), None, lambda a: oracle.verify_koenig_gstar(a.n, a.n, a.k)),
-    "thm11": (("n", "k"), "jobs", lambda a: [_agreement_check(
-        "max-edges-vs-formula",
-        oracle.max_over_free(a.n, a.k, 2, jobs=a.jobs),
-        extremal.ex_edges(a.n, a.k))]),
-    "thm12": (("n", "k", "s"), "jobs", lambda a: [_agreement_check(
-        "max-cliques-vs-formula",
-        oracle.max_over_free(a.n, a.k, a.s, jobs=a.jobs),
-        extremal.ex_clique(a.n, a.k, a.s))]),
-    "thm13": (("n", "k", "s", "t"), "jobs", lambda a: [_agreement_check(
-        "max-stars-vs-formula",
-        oracle.max_over_free(a.n, a.k, a.s, a.t, jobs=a.jobs),
-        extremal.ex_star(a.n, a.k, a.s, a.t))]),
-    "thm14": (("n", "k", "s", "t"), "jobs", lambda a: [_agreement_check(
-        "max-bicliques-vs-formula",
-        oracle.max_over_free_bip(a.n, a.n, a.k, a.s, a.t, jobs=a.jobs),
-        extremal.ex_bip(a.n, a.k, a.s, a.t))]),
+    "thm11": (("n", "k"), "jobs", _agreement(
+        "max-edges-vs-formula", lambda a: extremal.ex_edges(a.n, a.k),
+        lambda a: oracle.max_over_free(a.n, a.k, 2, jobs=a.jobs))),
+    "thm12": (("n", "k", "s"), "jobs", _agreement(
+        "max-cliques-vs-formula", lambda a: extremal.ex_clique(a.n, a.k, a.s),
+        lambda a: oracle.max_over_free(a.n, a.k, a.s, jobs=a.jobs))),
+    "thm13": (("n", "k", "s", "t"), "jobs", _agreement(
+        "max-stars-vs-formula", lambda a: extremal.ex_star(a.n, a.k, a.s, a.t),
+        lambda a: oracle.max_over_free(a.n, a.k, a.s, a.t, jobs=a.jobs))),
+    "thm14": (("n", "k", "s", "t"), "jobs", _agreement(
+        "max-bicliques-vs-formula", lambda a: extremal.ex_bip(a.n, a.k, a.s, a.t),
+        lambda a: oracle.max_over_free_bip(a.n, a.n, a.k, a.s, a.t, jobs=a.jobs))),
 }
 
 
 def _cmd_verify(args) -> int:
     required, optional, runner = _VERIFY[args.check]
-    missing = [f for f in required if getattr(args, f) is None]
-    if missing:
-        return _fail(f"verify {args.check} requires " + " ".join(f"--{f}" for f in missing))
+    error = _flag_error(f"verify {args.check}", required, args, ("n", "k", "s", "t"))
+    if error:
+        return _fail(error)
     if args.samples is not None and optional != "samples":
         return _fail(f"verify {args.check} does not take --samples")
     if args.jobs != 1 and optional != "jobs":
         return _fail(f"verify {args.check} does not take --jobs")
+    if args.samples is None and (args.prob is not None or args.seed is not None):
+        return _fail("--prob and --seed need --samples")
     checks = runner(args)
 
     if args.csv:
@@ -193,16 +224,6 @@ def _cmd_verify(args) -> int:
             for v in ch.violations:
                 print(f"  {v}")
     return 0 if all(ch.status == "pass" for ch in checks) else 1
-
-
-def _agreement_check(name: str, witness, expected: int) -> oracle.Check:
-    if witness.value == expected:
-        return oracle.Check(name, 1, ())
-    detail = (
-        f"oracle={witness.value} formula={expected} "
-        f"witness={_witness_text(witness.graph)}"
-    )
-    return oracle.Check(name, 1, (detail,))
 
 
 def _witness_text(graph) -> str:
@@ -263,9 +284,9 @@ def _build_parser() -> _Parser:
     p.add_argument("--k", type=int)
     p.add_argument("--s", type=int)
     p.add_argument("--t", type=int)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, help="random-mode seed (default 0)")
     p.add_argument("--samples", type=int, help="random instances instead of exhaustion")
-    p.add_argument("--prob", type=float, default=0.5, help="edge probability for random mode")
+    p.add_argument("--prob", type=float, help="edge probability for random mode (default 0.5)")
     p.add_argument("--jobs", type=int, default=1, help="worker processes for oracle scans")
     p.add_argument("--csv", action="store_true", help="machine-readable one-line-per-check output")
     p.set_defaults(func=_cmd_verify)

@@ -122,20 +122,23 @@ def extremal_star_count(n: int, k: int, ell: int, s: int, t: int) -> int:
     return sum(extremal_star_terms(n, k, ell, s, t))
 
 
-def bip_split_count(n: int, k: int, x: int, s: int, t: int) -> int:
+def bip_split_count(n: int, k: int, x: int, s: int, t: int, ny: int | None = None) -> int:
     """Oriented (s, t)-biclique count in the cover-saturated bipartite host
-    whose size-k cover has x vertices on the X side:
-    C(x, s) C(n, t) + C(n, s) C(k-x, t) - C(x, s) C(k-x, t)."""
-    _require(0 <= x <= k <= n, f"need 0 <= x <= k <= n, got x={x}, k={k}, n={n}")
+    with parts of sizes n and ny (default n) whose size-k cover has x
+    vertices on the n side:
+    C(x, s) C(ny, t) + C(n, s) C(k-x, t) - C(x, s) C(k-x, t)."""
+    ny = n if ny is None else ny
+    _require(0 <= x <= k <= min(n, ny),
+             f"need 0 <= x <= k <= min(n, ny), got x={x}, k={k}, n={n}, ny={ny}")
     _require(s >= 1 and t >= 1, f"need s, t >= 1, got s={s}, t={t}")
     cxs = binom(x, s)
     ckt = binom(k - x, t)
-    return cxs * binom(n, t) + binom(n, s) * ckt - cxs * ckt
+    return cxs * binom(ny, t) + binom(n, s) * ckt - cxs * ckt
 
 
-def bip_split_count_sym(n: int, k: int, x: int, s: int, t: int) -> int:
+def bip_split_count_sym(n: int, k: int, x: int, s: int, t: int, ny: int | None = None) -> int:
     """Both orientations of bip_split_count summed."""
-    return bip_split_count(n, k, x, s, t) + bip_split_count(n, k, x, t, s)
+    return bip_split_count(n, k, x, s, t, ny) + bip_split_count(n, k, x, t, s, ny)
 
 
 class EndpointMax(NamedTuple):

@@ -1,33 +1,38 @@
 """Brute-force ground truth: exhaustive search over small labeled graphs.
 
-Everything here is independent of the closed-form evaluators: maxima come
-from enumerating all labeled graphs (bitmasks over the C(n,2) edge slots)
-with matching number at most k, and the structural laws are checked instance
-by instance, reporting any counterexample in full.
+Maxima are independent of the closed-form evaluators: they come from
+enumerating all labeled graphs (bitmasks over the C(n,2) edge slots) with
+matching number at most k.  The structural laws are checked instance by
+instance, reporting any counterexample in full; the saturated König host's
+count is compared with ``extremal.bip_split_count``, and the shift laws are
+one table of quantities measured once per graph, before its shifts.
 
 Enumeration prunes a branch as soon as the partial graph's matching number
 exceeds k, which discards only graphs whose every completion is also over
 the bound; when k >= n/2 nothing can exceed it and the feasibility test is
-skipped.  The general scan carries the pattern count down the edge-slot
-recursion: adding edge uv adds only the copies that use uv, so no leaf is
-recounted.  The bipartite scan scores one member per orbit of X-row
-permutations, the nonincreasing row tuple, which is the orbit's smallest
-mask and shares its matching number and biclique count.  Witness ties break
-on the smallest edge mask under the canonical lexicographic slot order, so
-merges are order independent.
+skipped.  The general scan measures a task's fixed slot prefix directly and
+carries the pattern count down the rest of the edge-slot recursion: adding
+edge uv adds only the copies that use uv, so no leaf is recounted.  The
+bipartite scan scores one member per orbit of X-row permutations, the
+nonincreasing row tuple, which is the orbit's smallest mask and shares its
+matching number and biclique count.  Witness ties break on the smallest
+edge mask under the canonical lexicographic slot order, so merges are order
+independent.
 """
 
 from __future__ import annotations
 
+import operator
 import os
 import random
 from dataclasses import dataclass
+from functools import partial
 from itertools import combinations_with_replacement
 from multiprocessing import get_context
 
 from .counting import _clique_gain, _clique_top_sum, _oriented_bip, count_bip
 from .errors import CapacityError, ParameterRangeError
-from .extremal import ExtremalParams, binom, bip_split_count, bip_split_count_sym
+from .extremal import ExtremalParams, bip_split_count, bip_split_count_sym
 from .graph import BipartiteGraph, Graph, extremal_graph
 from .matching import _bip_nu, _exists_matching, _nu_masks, koenig_cover
 from .shifting import _shift_adj, shifted_graphs
@@ -132,24 +137,18 @@ def iter_free_graphs(n: int, k: int):
 def _scan_free_max(n, k, s, t, prefix_mask, prefix_len):
     """Best (value, mask) over free graphs extending a fixed slot prefix.
 
-    The pattern count travels down the recursion: the prefix graph is counted
-    once, and each added edge adds only the copies that use it.
+    The prefix graph is measured once, its matching number and its pattern
+    count; the count then travels down the recursion, each added edge adding
+    only the copies that use it.
     """
     slots = _edge_slots(n)
     nslots = len(slots)
-    adj = [0] * n
+    adj = _rows_from_mask(n, prefix_mask, slots)
     full = (1 << n) - 1
     bounded = k < n // 2  # otherwise no graph on n vertices exceeds the bound
-    nu = 0
-    for idx in range(prefix_len):
-        if prefix_mask >> idx & 1:
-            u, v = slots[idx]
-            inc = bounded and _exists_matching(adj, full ^ (1 << u) ^ (1 << v), nu)
-            if nu == k and inc:
-                return None
-            adj[u] |= 1 << v
-            adj[v] |= 1 << u
-            nu += 1 if inc else 0
+    nu = _nu_masks(adj, full)
+    if nu > k:
+        return None
     best_value = -1
     best_mask = 0
 
@@ -303,11 +302,9 @@ def verify_shift_lemmas(
         if n < 0:
             raise ValueError(f"need n >= 0, got n={n}")
 
-        def instances():
+        def instances():  # (graph, its pairs)
             for mask in range(1 << len(slots)):
-                rows = _rows_from_mask(n, mask, slots)
-                for i, j in slots:
-                    yield rows, i, j
+                yield _rows_from_mask(n, mask, slots), slots
     else:
         if n < 2:
             raise ValueError("random mode needs n >= 2")
@@ -328,37 +325,30 @@ def verify_shift_lemmas(
                         mask |= 1 << idx
                 i = rng.randrange(n - 1)
                 j = rng.randrange(i + 1, n)
-                yield _rows_from_mask(n, mask, slots), i, j
+                yield _rows_from_mask(n, mask, slots), ((i, j),)
 
+    # (law, label, quantity, violated(before, after)), in report order per law
+    laws = [
+        ("edges", "edges", lambda a: sum(r.bit_count() for r in a) // 2, operator.ne),
+        ("matching", "matching", lambda a: _nu_masks(a, full), operator.lt),
+        *(("cliques", f"{s}-cliques", partial(_clique_top_sum, n=n, s=s, t=0), operator.gt)
+          for s in range(2, max_s + 1)),
+        *(("stars", f"star({s},{t})", partial(_clique_top_sum, n=n, s=s, t=t), operator.gt)
+          for s in range(1, max_s + 1) for t in range(1, max_t + 1)),
+    ]
     bad: dict[str, list[str]] = {name: [] for name in include}
+    laws = [law for law in laws if law[0] in bad]
     cases = 0
-    for rows, i, j in instances():
-        cases += 1
-        image = _shift_adj(rows, i, j)
-        where = f"G={_edge_text(rows)} i={i + 1} j={j + 1}"
-        if "edges" in bad:
-            e0 = sum(r.bit_count() for r in rows)
-            e1 = sum(r.bit_count() for r in image)
-            if e0 != e1:
-                bad["edges"].append(f"{where}: edges {e0 // 2} -> {e1 // 2}")
-        if "matching" in bad:
-            nu0 = _nu_masks(rows, full)
-            nu1 = _nu_masks(image, full)
-            if nu1 > nu0:
-                bad["matching"].append(f"{where}: matching {nu0} -> {nu1}")
-        if "cliques" in bad:
-            for s in range(2, max_s + 1):
-                c0 = _clique_top_sum(rows, n, s, 0)
-                c1 = _clique_top_sum(image, n, s, 0)
-                if c1 < c0:
-                    bad["cliques"].append(f"{where}: {s}-cliques {c0} -> {c1}")
-        if "stars" in bad:
-            for s in range(1, max_s + 1):
-                for t in range(1, max_t + 1):
-                    c0 = _clique_top_sum(rows, n, s, t)
-                    c1 = _clique_top_sum(image, n, s, t)
-                    if c1 < c0:
-                        bad["stars"].append(f"{where}: star({s},{t}) {c0} -> {c1}")
+    for rows, pairs in instances():
+        before = [quantity(rows) for _, _, quantity, _ in laws]
+        for i, j in pairs:
+            cases += 1
+            image = _shift_adj(rows, i, j)
+            for (law, label, quantity, violated), q0 in zip(laws, before):
+                q1 = quantity(image)
+                if violated(q0, q1):
+                    where = f"G={_edge_text(rows)} i={i + 1} j={j + 1}"
+                    bad[law].append(f"{where}: {label} {q0} -> {q1}")
 
     titles = {
         "edges": "edge-conservation",
@@ -477,17 +467,11 @@ def verify_koenig_gstar(
             c_star = count_bip(gstar, s, t)
             if c_g > c_star:
                 mono_bad.append(f"{where} (s,t)=({s},{t}): {c_g} > {c_star}")
-            expected = _gstar_expected(nx, ny, k, x_count, s, t)
-            if nx == ny:
-                closed = (
-                    bip_split_count(nx, k, x_count, s, s)
-                    if s == t
-                    else bip_split_count_sym(nx, k, x_count, s, t)
-                )
-                if closed != expected:
-                    formula_bad.append(
-                        f"{where} (s,t)=({s},{t}): split-count {closed} != {expected}"
-                    )
+            expected = (
+                bip_split_count(nx, k, x_count, s, s, ny)
+                if s == t
+                else bip_split_count_sym(nx, k, x_count, s, t, ny)
+            )
             if c_star != expected:
                 formula_bad.append(
                     f"{where} (s,t)=({s},{t}): host count {c_star} != formula {expected}"
@@ -498,16 +482,3 @@ def verify_koenig_gstar(
         Check("gstar-monotone", cases, tuple(mono_bad)),
         Check("gstar-formula", cases, tuple(formula_bad)),
     ]
-
-
-def _gstar_expected(nx: int, ny: int, k: int, x: int, s: int, t: int) -> int:
-    def orient(a: int, b: int) -> int:
-        return (
-            binom(x, a) * binom(ny, b)
-            + binom(nx, a) * binom(k - x, b)
-            - binom(x, a) * binom(k - x, b)
-        )
-
-    if s == t:
-        return orient(s, s)
-    return orient(s, t) + orient(t, s)

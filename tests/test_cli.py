@@ -28,6 +28,15 @@ def test_extremal_flag_and_range_errors(capsys):
     assert code == 2 and out == "" and err.count("\n") == 1
     code, out, err = run(capsys, "extremal", "clique", "--n", "4", "--k", "2", "--s", "2")
     assert code == 2 and "2k+1" in err
+    for argv in (
+        ("extremal", "edges", "--n", "7", "--k", "2", "--s", "5", "--t", "9"),
+        ("extremal", "clique", "--n", "7", "--k", "2", "--s", "3", "--t", "2"),
+        ("extremal", "star", "--n", "7", "--k", "2", "--s", "1"),
+        ("scan", "--family", "H-clique", "--n", "7", "--k", "2", "--s", "2", "--t", "4"),
+        ("scan", "--family", "bip-f", "--n", "4", "--k", "2", "--s", "1"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "" and err.startswith("error:") and "--" in err, argv
 
 
 def test_scan_csv(capsys):
@@ -155,9 +164,32 @@ def test_verify_rejects_flags_it_would_ignore(capsys):
         ("koenig", "--n", "3", "--k", "1", "--jobs", "2"),
         ("lemma21", "--n", "8", "--samples", "-5"),
         ("lemma21", "--n", "8", "--samples", "0"),
+        ("lemma31", "--n", "4", "--prob", "0.9", "--seed", "5"),
+        ("lemma21", "--n", "4", "--seed", "5"),
+        ("lemma22", "--n", "4", "--prob", "0.3"),
+        ("koenig", "--n", "3", "--k", "1", "--seed", "0"),
+        ("thm12", "--n", "5", "--k", "2", "--s", "2", "--prob", "0.5"),
+        ("lemma21", "--n", "4", "--k", "2"),
+        ("thm11", "--n", "5", "--k", "1", "--s", "2"),
     ):
         code, out, err = run(capsys, "verify", *argv)
         assert code == 2 and out == "" and err.startswith("error:"), argv
+
+
+def test_verify_checks_the_formula_range_before_the_scan(capsys, monkeypatch):
+    def scan(*args, **kwargs):
+        raise AssertionError("the oracle scan ran before the range check")
+
+    monkeypatch.setattr("turanmatch.cli.oracle.max_over_free", scan)
+    monkeypatch.setattr("turanmatch.cli.oracle.max_over_free_bip", scan)
+    for argv, message in (
+        (("thm11", "--n", "4", "--k", "2"), "2k+1"),
+        (("thm12", "--n", "7", "--k", "4", "--s", "2"), "2k+1"),
+        (("thm13", "--n", "6", "--k", "3", "--s", "1", "--t", "2"), "2k+1"),
+        (("thm14", "--n", "2", "--k", "3", "--s", "1", "--t", "1"), "n >= k"),
+    ):
+        code, out, err = run(capsys, "verify", *argv)
+        assert code == 2 and out == "" and message in err, argv
 
 
 def test_out_of_format_files_exit_2(tmp_path, capsys):

@@ -1,10 +1,12 @@
 import pytest
 
 from turanmatch import (
+    BipartiteGraph,
     ParameterRangeError,
     binom,
     bip_split_count,
     bip_split_count_sym,
+    count_bip,
     endpoint_max,
     ex_bip,
     ex_clique,
@@ -145,6 +147,28 @@ def test_bip_split_boundaries():
                     assert bip_split_count_sym(n, k, k, s, t) == both
     with pytest.raises(ParameterRangeError):
         bip_split_count(4, 2, 3, 1, 1)
+
+
+def test_bip_split_count_unequal_parts_matches_saturated_host():
+    for nx in range(1, 5):
+        for ny in range(1, 5):
+            if nx == ny:
+                continue
+            for k in range(min(nx, ny) + 1):
+                for x in range(k + 1):
+                    # X-cover vertices 0..x-1 see all of Y; the rest see Y-cover 0..k-x-1
+                    rows = [(1 << ny) - 1] * x + [(1 << (k - x)) - 1] * (nx - x)
+                    host = BipartiteGraph(nx, ny, rows)
+                    for s, t in ((1, 1), (1, 2), (2, 2)):
+                        if s == t:
+                            closed = bip_split_count(nx, k, x, s, s, ny=ny)
+                        else:
+                            closed = bip_split_count_sym(nx, k, x, s, t, ny=ny)
+                        assert closed == count_bip(host, s, t), (nx, ny, k, x, s, t)
+            with pytest.raises(ParameterRangeError):
+                bip_split_count(nx, min(nx, ny) + 1, 0, 1, 1, ny=ny)
+            with pytest.raises(ParameterRangeError):
+                bip_split_count_sym(nx, min(nx, ny) + 1, 0, 1, 2, ny=ny)
 
 
 def test_ex_bip_equals_endpoint_split_count():

@@ -100,6 +100,30 @@ def test_verify_shift_lemmas_random_embeds_seed():
     assert all(ch.cases == 200 for ch in checks)
 
 
+def test_verify_shift_lemmas_violation_text(monkeypatch):
+    def toggle(adj, i, j):  # a broken "shift" that flips the edge ij
+        rows = list(adj)
+        rows[i] ^= 1 << j
+        rows[j] ^= 1 << i
+        return rows
+
+    monkeypatch.setattr("turanmatch.oracle._shift_adj", toggle)
+    checks = verify_shift_lemmas(4, max_s=2, max_t=1)
+    assert [(ch.name, ch.cases, len(ch.violations)) for ch in checks] == [
+        ("edge-conservation", 384, 384),
+        ("matching-monotone", 384, 60),
+        ("clique-monotone", 384, 192),
+        ("star-monotone", 384, 276),
+    ]
+    full = "G={(1,2) (1,3) (1,4) (2,3) (2,4) (3,4)} i=3 j=4"
+    assert [(ch.violations[0], ch.violations[-1]) for ch in checks] == [
+        ("G={} i=1 j=2: edges 0 -> 1", f"{full}: edges 6 -> 5"),
+        ("G={} i=1 j=2: matching 0 -> 1", "G={(2,3) (2,4) (3,4)} i=1 j=4: matching 1 -> 2"),
+        ("G={(1,2)} i=1 j=2: 2-cliques 1 -> 0", f"{full}: 2-cliques 6 -> 5"),
+        ("G={(1,2)} i=1 j=2: star(1,1) 2 -> 0", f"{full}: star(2,1) 12 -> 6"),
+    ]
+
+
 def test_verify_shift_lemmas_validation():
     with pytest.raises(CapacityError):
         verify_shift_lemmas(7)
@@ -173,7 +197,8 @@ def test_verify_koenig_gstar_4x4():
 
 
 def test_verify_koenig_gstar_small():
-    for checks in (verify_koenig_gstar(3, 3, 1), verify_koenig_gstar(2, 3, 2)):
+    for checks in (verify_koenig_gstar(3, 3, 1), verify_koenig_gstar(2, 3, 2),
+                   verify_koenig_gstar(3, 2, 2)):
         assert all(ch.ok for ch in checks)
         assert [ch.name for ch in checks] == [
             "koenig-duality",
