@@ -120,10 +120,10 @@ def _flag_error(command: str, used: tuple[str, ...], args, flags=("s", "t")) -> 
 
 # family -> (flags it uses, closed form)
 _EXTREMAL = {
-    "edges": ((), lambda a: extremal.ex_edges(a.n, a.k)),
     "clique": (("s",), lambda a: extremal.ex_clique(a.n, a.k, a.s)),
     "star": (("s", "t"), lambda a: extremal.ex_star(a.n, a.k, a.s, a.t)),
     "bip": (("s", "t"), lambda a: extremal.ex_bip(a.n, a.k, a.s, a.t)),
+    "edges": ((), lambda a: extremal.ex_edges(a.n, a.k)),
 }
 
 
@@ -152,6 +152,8 @@ def _cmd_scan(args) -> int:
     error = _flag_error(f"scan --family {args.family}", used, args)
     if error:
         return _fail(error)
+    if args.k < 0:
+        return _fail(f"scan needs --k >= 0, got {args.k}")
     rows = ["param,value"] + [f"{p},{count(args, p)}" for p in params(args)]
     sys.stdout.write("\n".join(rows) + "\n")
     return 0
@@ -263,7 +265,7 @@ def _build_parser() -> _Parser:
     p.set_defaults(func=_cmd_count)
 
     p = sub.add_parser("extremal", help="closed-form extremal value")
-    p.add_argument("family", choices=["clique", "star", "bip", "edges"])
+    p.add_argument("family", choices=list(_EXTREMAL))
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--s", type=int)
@@ -271,7 +273,7 @@ def _build_parser() -> _Parser:
     p.set_defaults(func=_cmd_extremal)
 
     p = sub.add_parser("scan", help="CSV sweep of a construction-count family")
-    p.add_argument("--family", choices=["H-clique", "H-star", "bip-f"], required=True)
+    p.add_argument("--family", choices=list(_SCAN), required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--s", type=int, required=True)

@@ -156,16 +156,20 @@ def _oriented_bip(rows, ny: int, a: int, b: int) -> int:
     return total
 
 
-def count_bip(bg: BipartiteGraph, s: int, t: int) -> int:
-    """Number of complete-bipartite (s, t) copies.
+def _bip_sum(rows, ny: int, s: int, t: int) -> int:
+    """Complete-bipartite (s, t) copies in the X-rows ``rows`` over ny
+    Y-vertices.
 
     For s != t both orientations are summed (an s-set in either part paired
     with a t-set in the other); for s = t a single term avoids double
     counting the same unlabeled copy.
     """
+    total = _oriented_bip(rows, ny, s, t)
+    return total if s == t else total + _oriented_bip(rows, ny, t, s)
+
+
+def count_bip(bg: BipartiteGraph, s: int, t: int) -> int:
+    """Number of complete-bipartite (s, t) copies (see ``_bip_sum``)."""
     if s < 1 or t < 1:
         raise ValueError(f"need s >= 1 and t >= 1, got s={s}, t={t}")
-    first = _oriented_bip(bg.biadj, bg.ny, s, t)
-    if s == t:
-        return first
-    return first + _oriented_bip(bg.biadj, bg.ny, t, s)
+    return _bip_sum(bg.biadj, bg.ny, s, t)

@@ -2,9 +2,9 @@
 
 General graphs use memoized branch-and-bound over the bitmask of unused
 vertices (exact for any input, practical to roughly 28 vertices).  Bipartite
-graphs use augmenting paths; the minimum cover comes from the standard
-alternating-reachability construction, so its size always equals the maximum
-matching size.
+graphs use augmenting paths; the minimum cover is built from a given maximum
+matching by the standard alternating-reachability construction, so its size
+always equals the matching size.
 """
 
 from __future__ import annotations
@@ -143,26 +143,20 @@ def bip_max_matching(bg: BipartiteGraph) -> list[tuple[int, int]]:
     return chosen
 
 
-def koenig_cover(bg: BipartiteGraph) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Minimum vertex cover as (x_labels, y_labels), both sorted.
+def _cover_masks(rows, nx: int, match_y) -> tuple[int, int]:
+    """Minimum vertex cover as (X mask, Y mask), built from the maximum
+    matching ``match_y`` (as returned by ``_bip_nu``).
 
-    Built from a maximum matching by alternating reachability from the
-    unmatched X-vertices: cover = (X \\ reachable) + (Y & reachable).  Its
-    size equals the maximum matching size and every edge touches it.
+    Alternating reachability from the unmatched X-vertices: cover =
+    (X \\ reachable) + (Y & reachable).  Its size equals the matching size
+    and every edge touches it.
     """
-    rows = bg.biadj
-    nx, ny = bg.nx, bg.ny
-    _, match_y = _bip_nu(rows, nx, ny)
-    match_x = [-1] * nx
-    for y, x in enumerate(match_y):
+    reach_x = (1 << nx) - 1  # starts as the unmatched X-vertices
+    for x in match_y:
         if x >= 0:
-            match_x[x] = y
-    reach_x = 0
-    for x in range(nx):
-        if match_x[x] < 0:
-            reach_x |= 1 << x
+            reach_x &= ~(1 << x)
     reach_y = 0
-    queue = [x for x in range(nx) if match_x[x] < 0]
+    queue = [x for x in range(nx) if reach_x >> x & 1]
     while queue:
         x = queue.pop()
         new_y = rows[x] & ~reach_y
@@ -174,9 +168,16 @@ def koenig_cover(bg: BipartiteGraph) -> tuple[tuple[int, ...], tuple[int, ...]]:
             if x2 >= 0 and not reach_x >> x2 & 1:
                 reach_x |= 1 << x2
                 queue.append(x2)
-    xs = tuple(x + 1 for x in range(nx) if not reach_x >> x & 1)
-    ys = tuple(y + 1 for y in range(ny) if reach_y >> y & 1)
-    return xs, ys
+    return ((1 << nx) - 1) & ~reach_x, reach_y
+
+
+def koenig_cover(bg: BipartiteGraph) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Minimum vertex cover as (x_labels, y_labels), both sorted; see
+    ``_cover_masks``."""
+    _, match_y = _bip_nu(bg.biadj, bg.nx, bg.ny)
+    xs, ys = _cover_masks(bg.biadj, bg.nx, match_y)
+    return (tuple(x + 1 for x in range(bg.nx) if xs >> x & 1),
+            tuple(y + 1 for y in range(bg.ny) if ys >> y & 1))
 
 
 def bondy_chvatal_holds(g: Graph, u: int, v: int, k: int) -> bool:

@@ -30,11 +30,11 @@ from functools import partial
 from itertools import combinations_with_replacement
 from multiprocessing import get_context
 
-from .counting import _clique_gain, _clique_top_sum, _oriented_bip, count_bip
+from .counting import _bip_sum, _clique_gain, _clique_top_sum
 from .errors import CapacityError, ParameterRangeError
 from .extremal import ExtremalParams, bip_split_count, bip_split_count_sym
 from .graph import BipartiteGraph, Graph, extremal_graph
-from .matching import _bip_nu, _exists_matching, _nu_masks, koenig_cover
+from .matching import _bip_nu, _cover_masks, _exists_matching, _nu_masks
 from .shifting import _shift_adj, shifted_graphs
 
 MAX_ORACLE_VERTICES = 7
@@ -88,14 +88,7 @@ def _rows_from_mask(n: int, mask: int, slots) -> list[int]:
 
 
 def _edge_text(rows) -> str:
-    pairs = []
-    for u in range(len(rows)):
-        m = rows[u] >> (u + 1) << (u + 1)
-        while m:
-            b = m & -m
-            m ^= b
-            pairs.append(f"({u + 1},{b.bit_length()})")
-    return "{" + " ".join(pairs) + "}"
+    return "{" + " ".join(f"({u},{v})" for u, v in Graph(len(rows), rows).edges()) + "}"
 
 
 # ---------------------------------------------------------------------------
@@ -217,16 +210,17 @@ def max_over_free(n: int, k: int, s: int, t: int | None = None, jobs: int = 1) -
 
 
 def _scan_bip_max(nx, ny, k, s, t, firsts):
-    """Best (value, mask) over row tuples with rows[0] in ``firsts`` and
-    rows[0] >= rows[1] >= ... >= rows[nx-1], and nu <= k.
+    """Best (value, rows[::-1]) over row tuples with rows[0] in ``firsts``
+    and rows[0] >= rows[1] >= ... >= rows[nx-1], and nu <= k.
 
     Row nx-1 is the most significant in the mask, so each tuple is the
     smallest mask among its row permutations; the matching number and the
     biclique count do not change under them.  Scoring only these tuples
-    therefore keeps both the maximum and its smallest-mask witness.
+    therefore keeps both the maximum and its smallest-mask witness, and the
+    reversed tuple, most significant row first, orders as the mask does.
     """
     best_value = -1
-    best_mask = 0
+    best_key = ()
     bounded = k < min(nx, ny)  # otherwise no graph exceeds the bound
     if nx:
         candidates = ((first, *tail[::-1]) for first in firsts
@@ -236,16 +230,11 @@ def _scan_bip_max(nx, ny, k, s, t, firsts):
     for rows in candidates:
         if bounded and _bip_nu(rows, nx, ny)[0] > k:
             continue
-        value = _oriented_bip(rows, ny, s, t)
-        if s != t:
-            value += _oriented_bip(rows, ny, t, s)
-        mask = 0
-        for x in range(nx - 1, -1, -1):
-            mask = mask << ny | rows[x]
-        if value > best_value or (value == best_value and mask < best_mask):
+        value = _bip_sum(rows, ny, s, t)
+        if value > best_value or (value == best_value and rows[::-1] < best_key):
             best_value = value
-            best_mask = mask
-    return (best_value, best_mask) if best_value >= 0 else None
+            best_key = rows[::-1]
+    return (best_value, best_key) if best_value >= 0 else None
 
 
 def max_over_free_bip(nx: int, ny: int, k: int, s: int, t: int, jobs: int = 1) -> Witness:
@@ -264,10 +253,8 @@ def max_over_free_bip(nx: int, ny: int, k: int, s: int, t: int, jobs: int = 1) -
     top = (1 << ny) if nx else 1
     stride = min(4 * jobs, top) if jobs > 1 else 1  # interleaved: big rows[0] cost most
     tasks = [(nx, ny, k, s, t, range(i, top, stride)) for i in range(stride)]
-    value, mask = _merge_best(_run_tasks(_scan_bip_max, tasks, jobs))
-    row_bits = (1 << ny) - 1
-    rows = [(mask >> (x * ny)) & row_bits for x in range(nx)]
-    return Witness(BipartiteGraph(nx, ny, rows), value, ExtremalParams(n=nx, k=k, s=s, t=t))
+    value, key = _merge_best(_run_tasks(_scan_bip_max, tasks, jobs))
+    return Witness(BipartiteGraph(nx, ny, key[::-1]), value, ExtremalParams(n=nx, k=k, s=s, t=t))
 
 
 # ---------------------------------------------------------------------------
@@ -293,6 +280,15 @@ def verify_shift_lemmas(
     (sizes 2..max_s) and star-pair counts (sides up to max_s, max_t) never
     shrink.
     """
+    titles = {
+        "edges": "edge-conservation",
+        "matching": "matching-monotone",
+        "cliques": "clique-monotone",
+        "stars": "star-monotone",
+    }
+    unknown = [name for name in include if name not in titles]
+    if unknown:
+        raise ValueError(f"unknown shift laws {unknown}, expected some of {list(titles)}")
     slots = _edge_slots(n)
     full = (1 << n) - 1
     rng_seed = None
@@ -349,13 +345,6 @@ def verify_shift_lemmas(
                 if violated(q0, q1):
                     where = f"G={_edge_text(rows)} i={i + 1} j={j + 1}"
                     bad[law].append(f"{where}: {label} {q0} -> {q1}")
-
-    titles = {
-        "edges": "edge-conservation",
-        "matching": "matching-monotone",
-        "cliques": "clique-monotone",
-        "stars": "star-monotone",
-    }
     return [Check(titles[name], cases, tuple(bad[name]), rng_seed) for name in include]
 
 
@@ -428,45 +417,39 @@ def verify_koenig_gstar(
         raise CapacityError(f"capped at nx*ny <= {MAX_ORACLE_BIP_SLOTS}")
     if nx < 0 or ny < 0 or k < 0:
         raise ValueError(f"need nx, ny, k >= 0, got nx={nx}, ny={ny}, k={k}")
-    row_bits = (1 << ny) - 1
-    full_y = row_bits
+    full_y = (1 << ny) - 1
     cases = 0
     dual_bad: list[str] = []
     contain_bad: list[str] = []
     mono_bad: list[str] = []
     formula_bad: list[str] = []
+
+    def where(rows) -> str:
+        return f"G(X={nx},Y={ny})={BipartiteGraph(nx, ny, rows).edges()}"
+
     for mask in range(1 << (nx * ny)):
-        rows = [(mask >> (x * ny)) & row_bits for x in range(nx)]
-        size, _ = _bip_nu(rows, nx, ny)
+        rows = [(mask >> (x * ny)) & full_y for x in range(nx)]
+        size, match_y = _bip_nu(rows, nx, ny)
         if size != k:
             continue
         cases += 1
-        bg = BipartiteGraph(nx, ny, rows)
-        xs, ys = koenig_cover(bg)
-        where = f"G(X={nx},Y={ny})={bg.edges()}"
-        xs_mask = 0
-        for x in xs:
-            xs_mask |= 1 << (x - 1)
-        ys_mask = 0
-        for y in ys:
-            ys_mask |= 1 << (y - 1)
-        covered = all(
-            rows[x] & ~ys_mask == 0 for x in range(nx) if not xs_mask >> x & 1
-        )
-        if len(xs) + len(ys) != k or not covered:
-            dual_bad.append(f"{where}: cover ({xs}, {ys}) vs matching {k}")
+        xs, ys = _cover_masks(rows, nx, match_y)
+        covered = all(rows[x] & ~ys == 0 for x in range(nx) if not xs >> x & 1)
+        if xs.bit_count() + ys.bit_count() != k or not covered:
+            cover = tuple(tuple(a + 1 for a in range(m) if side >> a & 1)
+                          for m, side in ((nx, xs), (ny, ys)))
+            dual_bad.append(f"{where(rows)}: cover {cover} vs matching {k}")
             continue
-        star_rows = [full_y if xs_mask >> x & 1 else ys_mask for x in range(nx)]
+        star_rows = [full_y if xs >> x & 1 else ys for x in range(nx)]
         if any(rows[x] & ~star_rows[x] for x in range(nx)):
-            contain_bad.append(f"{where}: not contained in its saturated host")
+            contain_bad.append(f"{where(rows)}: not contained in its saturated host")
             continue
-        gstar = BipartiteGraph(nx, ny, star_rows)
-        x_count = len(xs)
+        x_count = xs.bit_count()
         for s, t in pairs:
-            c_g = count_bip(bg, s, t)
-            c_star = count_bip(gstar, s, t)
+            c_g = _bip_sum(rows, ny, s, t)
+            c_star = _bip_sum(star_rows, ny, s, t)
             if c_g > c_star:
-                mono_bad.append(f"{where} (s,t)=({s},{t}): {c_g} > {c_star}")
+                mono_bad.append(f"{where(rows)} (s,t)=({s},{t}): {c_g} > {c_star}")
             expected = (
                 bip_split_count(nx, k, x_count, s, s, ny)
                 if s == t
@@ -474,7 +457,7 @@ def verify_koenig_gstar(
             )
             if c_star != expected:
                 formula_bad.append(
-                    f"{where} (s,t)=({s},{t}): host count {c_star} != formula {expected}"
+                    f"{where(rows)} (s,t)=({s},{t}): host count {c_star} != formula {expected}"
                 )
     return [
         Check("koenig-duality", cases, tuple(dual_bad)),

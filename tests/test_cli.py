@@ -34,6 +34,8 @@ def test_extremal_flag_and_range_errors(capsys):
         ("extremal", "star", "--n", "7", "--k", "2", "--s", "1"),
         ("scan", "--family", "H-clique", "--n", "7", "--k", "2", "--s", "2", "--t", "4"),
         ("scan", "--family", "bip-f", "--n", "4", "--k", "2", "--s", "1"),
+        ("scan", "--family", "H-clique", "--n", "7", "--k", "-1", "--s", "2"),
+        ("scan", "--family", "bip-f", "--n", "4", "--k", "-2", "--s", "1", "--t", "1"),
     ):
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == "" and err.startswith("error:") and "--" in err, argv

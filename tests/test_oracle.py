@@ -11,6 +11,7 @@ from helpers import (
 from turanmatch import (
     CapacityError,
     ParameterRangeError,
+    bip_split_count,
     complete_graph,
     count_bip,
     count_cliques,
@@ -26,6 +27,7 @@ from turanmatch import (
     verify_shift_lemmas,
     verify_shifted_structure,
 )
+from turanmatch.matching import _cover_masks
 
 
 def test_iter_free_graphs_matches_filtered_enumeration():
@@ -134,6 +136,10 @@ def test_verify_shift_lemmas_validation():
     for samples in (0, -5):
         with pytest.raises(ValueError):
             verify_shift_lemmas(8, samples=samples)
+    with pytest.MonkeyPatch.context() as mp:  # an unknown law fails before any graph is built
+        mp.setattr("turanmatch.oracle._rows_from_mask", None)
+        with pytest.raises(ValueError, match="edge"):
+            verify_shift_lemmas(4, include=("edge",))
 
 
 def test_verify_shifted_structure_small():
@@ -207,6 +213,33 @@ def test_verify_koenig_gstar_small():
             "gstar-formula",
         ]
         assert checks[0].cases > 0
+
+
+def test_verify_koenig_gstar_violation_text(monkeypatch):
+    monkeypatch.setattr("turanmatch.oracle.bip_split_count", lambda *a: bip_split_count(*a) + 1)
+    checks = verify_koenig_gstar(3, 3, 2)
+    assert [(ch.name, ch.cases, len(ch.violations)) for ch in checks] == [
+        ("koenig-duality", 231, 0),
+        ("gstar-contains", 231, 0),
+        ("gstar-monotone", 231, 0),
+        ("gstar-formula", 231, 462),
+    ]
+    assert checks[3].violations[0] == (
+        "G(X=3,Y=3)=[(1, 2), (2, 1)] (s,t)=(1,1): host count 6 != formula 7"
+    )
+
+
+def test_verify_koenig_gstar_reports_a_wrong_cover(monkeypatch):
+    def padded(rows, nx, match_y):  # a valid cover plus Y-vertex 1: too large
+        xs, ys = _cover_masks(rows, nx, match_y)
+        return xs, ys | 1
+
+    monkeypatch.setattr("turanmatch.oracle._cover_masks", padded)
+    checks = verify_koenig_gstar(2, 3, 2)
+    assert [(ch.cases, len(ch.violations)) for ch in checks] == [(46, 46), (46, 0), (46, 0), (46, 0)]
+    assert checks[0].violations[0] == (
+        "G(X=2,Y=3)=[(1, 2), (2, 1)]: cover ((1, 2), (1,)) vs matching 2"
+    )
 
 
 def _inline_pool(monkeypatch, cores=2):
