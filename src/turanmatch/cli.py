@@ -20,6 +20,7 @@ from . import counting, extremal, matching, oracle, shifting
 from .errors import ParseError
 from .graph import (
     BipartiteGraph,
+    _is_decimal,
     parse_bipartite,
     parse_graph,
     serialize_graph,
@@ -39,6 +40,15 @@ def _read(path: str) -> str:
 def _fail(message: str) -> int:
     print(f"error: {message}", file=sys.stderr)
     return 2
+
+
+def _decimals(text: str, count: int, usage: str) -> list[int]:
+    """The ``count`` comma-separated numbers of ``text``, each written as the
+    file format writes one (no sign, no leading zero); else ValueError(usage)."""
+    parts = text.split(",")
+    if len(parts) != count or not all(_is_decimal(p) for p in parts):
+        raise ValueError(usage)
+    return [int(p) for p in parts]
 
 
 # ---------------------------------------------------------------------------
@@ -66,10 +76,7 @@ def _cmd_nu(args) -> int:
 
 
 def _cmd_cover(args) -> int:
-    try:
-        nx, ny = (int(p) for p in args.bipartite.split(","))
-    except ValueError:
-        return _fail("--bipartite expects nx,ny")
+    nx, ny = _decimals(args.bipartite, 2, "--bipartite expects nx,ny")
     g = parse_graph(_read(args.input))
     if g.n != nx + ny:
         return _fail(f"file has {g.n} vertices, parts declare {nx}+{ny}")
@@ -87,23 +94,19 @@ def _cmd_cover(args) -> int:
     return 0
 
 
+# kind -> (number of parameters, file reader, counter)
+_COUNT = {
+    "clique": (1, parse_graph, counting.count_cliques),
+    "star": (2, parse_graph, counting.count_star),
+    "bip": (2, parse_bipartite, counting.count_bip),
+}
+
+
 def _cmd_count(args) -> int:
     kind, _, rest = args.pattern.partition(":")
-    try:
-        params = [int(p) for p in rest.split(",")] if rest else []
-    except ValueError:
-        params = None
-    if kind == "clique" and params is not None and len(params) == 1:
-        g = parse_graph(_read(args.input))
-        print(counting.count_cliques(g, params[0]))
-    elif kind == "star" and params is not None and len(params) == 2:
-        g = parse_graph(_read(args.input))
-        print(counting.count_star(g, params[0], params[1]))
-    elif kind == "bip" and params is not None and len(params) == 2:
-        bg = parse_bipartite(_read(args.input))
-        print(counting.count_bip(bg, params[0], params[1]))
-    else:
-        return _fail("--pattern expects clique:S, star:S,T or bip:S,T")
+    arity, reader, counter = _COUNT.get(kind, (0, None, None))
+    params = _decimals(rest, arity, "--pattern expects clique:S, star:S,T or bip:S,T")
+    print(counter(reader(_read(args.input)), *params))
     return 0
 
 

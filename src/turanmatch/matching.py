@@ -1,50 +1,82 @@
 """Exact matching numbers, bipartite maximum matching, and minimum vertex covers.
 
-General graphs use memoized branch-and-bound over the bitmask of unused
-vertices (exact for any input, practical to roughly 28 vertices).  Bipartite
-graphs use augmenting paths; the minimum cover is built from a given maximum
-matching by the standard alternating-reachability construction, so its size
-always equals the matching size.
+General graphs get their matching number from Edmonds' blossom algorithm,
+polynomial up to the 64-vertex graph cap; whether a matching of a given size
+exists, the exhaustive oracle's per-edge test, is a small branch-and-bound.
+Bipartite graphs use augmenting paths; the minimum cover is built from a
+given maximum matching by the standard alternating-reachability
+construction, so its size always equals the matching size.
 """
 
 from __future__ import annotations
 
-from .errors import CapacityError
 from .graph import BipartiteGraph, Graph
 
-MAX_MATCHING_VERTICES = 28
 
-
-def _nu_masks(adj, free: int) -> int:
-    """Maximum matching size among the vertices in ``free`` (0-based rows)."""
-    memo: dict[int, int] = {}
-
-    def rec(free: int) -> int:
-        while free:
-            b = free & -free
-            if adj[b.bit_length() - 1] & free:
-                break
-            free ^= b  # vertex with no remaining neighbor never matters
-        if not free:
-            return 0
-        cached = memo.get(free)
-        if cached is not None:
-            return cached
-        b = free & -free
-        v = b.bit_length() - 1
-        fb = free ^ b
-        best = rec(fb)
-        nb = adj[v] & fb
-        while nb:
-            c = nb & -nb
-            nb ^= c
-            r = 1 + rec(fb ^ c)
-            if r > best:
-                best = r
-        memo[free] = best
-        return best
-
-    return rec(free)
+def _nu(adj) -> int:
+    """Maximum matching size of the graph with 0-based rows ``adj``: a greedy
+    matching, then Edmonds' blossom search from each exposed root in turn, an
+    alternating tree whose odd cycles are contracted to one ``base``.  A root
+    without an augmenting path never gains one, so one pass suffices."""
+    n = len(adj)
+    mate = [-1] * n
+    free = (1 << n) - 1
+    size = 0
+    for v in range(n):
+        nb = adj[v] & free
+        if nb and free >> v & 1:
+            w = (nb & -nb).bit_length() - 1
+            mate[v], mate[w] = w, v
+            free ^= 1 << v | 1 << w
+            size += 1
+    for root in range(n):
+        if size == n // 2:
+            break
+        if mate[root] >= 0 or not adj[root]:
+            continue
+        base = list(range(n))
+        parent = [-1] * n
+        outer = 1 << root
+        queue = [root]
+        for v in queue:
+            nb = adj[v]
+            while nb and mate[root] < 0:
+                w = (nb & -nb).bit_length() - 1
+                nb &= nb - 1
+                if base[v] == base[w] or mate[v] == w:
+                    continue
+                if outer >> w & 1:  # odd cycle: contract it at the nearest common base c
+                    a = base[v]
+                    seen = 1 << a
+                    while a != root:
+                        a = base[parent[mate[a]]]
+                        seen |= 1 << a
+                    c = base[w]
+                    while not seen >> c & 1:
+                        c = base[parent[mate[c]]]
+                    blossom = 0
+                    for x, child in ((v, w), (w, v)):
+                        while base[x] != c:
+                            blossom |= 1 << base[x] | 1 << base[mate[x]]
+                            parent[x], child = child, mate[x]
+                            x = parent[child]
+                    for i in range(n):
+                        if blossom >> base[i] & 1:
+                            base[i] = c
+                            if not outer >> i & 1:
+                                outer |= 1 << i
+                                queue.append(i)
+                elif parent[w] < 0:
+                    parent[w] = v
+                    if mate[w] >= 0:
+                        outer |= 1 << mate[w]
+                        queue.append(mate[w])
+                        continue
+                    size += 1  # w is exposed: flip the augmenting path to the root
+                    while w >= 0:
+                        u = parent[w]
+                        mate[w], mate[u], w = u, w, mate[u]
+    return size
 
 
 def _exists_matching(adj, free: int, r: int) -> bool:
@@ -74,11 +106,7 @@ def _exists_matching(adj, free: int, r: int) -> bool:
 
 def matching_number(g: Graph) -> int:
     """Exact maximum matching size of g."""
-    if g.n > MAX_MATCHING_VERTICES:
-        raise CapacityError(
-            f"exact matching supported up to {MAX_MATCHING_VERTICES} vertices, got {g.n}"
-        )
-    return _nu_masks(g.adj, (1 << g.n) - 1)
+    return _nu(g.adj)
 
 
 # ---------------------------------------------------------------------------

@@ -33,8 +33,8 @@ from multiprocessing import get_context
 from .counting import _bip_sum, _clique_gain, _clique_top_sum
 from .errors import CapacityError, ParameterRangeError
 from .extremal import ExtremalParams, bip_split_count, bip_split_count_sym
-from .graph import BipartiteGraph, Graph, extremal_graph
-from .matching import _bip_nu, _cover_masks, _exists_matching, _nu_masks
+from .graph import BipartiteGraph, Graph, _check_vertex_count, extremal_graph
+from .matching import _bip_nu, _cover_masks, _exists_matching, _nu
 from .shifting import _shift_adj, shifted_graphs
 
 MAX_ORACLE_VERTICES = 7
@@ -139,7 +139,7 @@ def _scan_free_max(n, k, s, t, prefix_mask, prefix_len):
     adj = _rows_from_mask(n, prefix_mask, slots)
     full = (1 << n) - 1
     bounded = k < n // 2  # otherwise no graph on n vertices exceeds the bound
-    nu = _nu_masks(adj, full)
+    nu = _nu(adj)
     if nu > k:
         return None
     best_value = -1
@@ -289,14 +289,13 @@ def verify_shift_lemmas(
     unknown = [name for name in include if name not in titles]
     if unknown:
         raise ValueError(f"unknown shift laws {unknown}, expected some of {list(titles)}")
-    slots = _edge_slots(n)
-    full = (1 << n) - 1
     rng_seed = None
     if samples is None:
         if n > 6:
             raise CapacityError("exhaustive shift verification capped at n <= 6")
         if n < 0:
             raise ValueError(f"need n >= 0, got n={n}")
+        slots = _edge_slots(n)
 
         def instances():  # (graph, its pairs)
             for mask in range(1 << len(slots)):
@@ -306,10 +305,10 @@ def verify_shift_lemmas(
             raise ValueError("random mode needs n >= 2")
         if samples < 1:
             raise ValueError(f"need samples >= 1, got {samples}")
-        if n > 28:
-            raise CapacityError("random shift verification capped at n <= 28")
+        _check_vertex_count(n)
         if not 0.0 <= edge_prob <= 1.0:
             raise ValueError(f"edge probability must be in [0, 1], got {edge_prob}")
+        slots = _edge_slots(n)
         rng_seed = seed
         rng = random.Random(seed)
 
@@ -326,7 +325,7 @@ def verify_shift_lemmas(
     # (law, label, quantity, violated(before, after)), in report order per law
     laws = [
         ("edges", "edges", lambda a: sum(r.bit_count() for r in a) // 2, operator.ne),
-        ("matching", "matching", lambda a: _nu_masks(a, full), operator.lt),
+        ("matching", "matching", _nu, operator.lt),
         *(("cliques", f"{s}-cliques", partial(_clique_top_sum, n=n, s=s, t=0), operator.gt)
           for s in range(2, max_s + 1)),
         *(("stars", f"star({s},{t})", partial(_clique_top_sum, n=n, s=s, t=t), operator.gt)
@@ -360,11 +359,10 @@ def verify_shifted_structure(n: int, k: int) -> list[Check]:
             f"only the n >= 2k+1 regime is verified, got n={n}, k={k}"
         )
     hosts = [extremal_graph(n, k, ell).adj for ell in range(k + 1, 2 * k + 2)]
-    full = (1 << n) - 1
     cases = 0
     violations = []
     for g in shifted_graphs(n):
-        if _nu_masks(g.adj, full) != k:
+        if _nu(g.adj) != k:
             continue
         cases += 1
         if not any(all(row & ~h[a] == 0 for a, row in enumerate(g.adj)) for h in hosts):
@@ -389,7 +387,7 @@ def verify_bondy_chvatal(n: int) -> list[Check]:
     violations = []
     for mask in range(1 << len(slots)):
         rows = _rows_from_mask(n, mask, slots)
-        nu = _nu_masks(rows, full)
+        nu = _nu(rows)
         for idx, (u, v) in enumerate(slots):
             if mask >> idx & 1:
                 continue

@@ -5,6 +5,9 @@ The naive counters enumerate vertex subsets directly with itertools and touch
 only Graph.has_edge / BipartiteGraph.has_edge, so they are an independent
 code path from the bitmask kernels they are used to check.
 
+``ref_nu`` is the matching number from the oracle's feasibility test, a
+branch and bound that shares no code with the blossom routine it checks.
+
 The reference scans are the straightforward exhaustive maxima the oracle's
 scans must reproduce: they recount the pattern at every leaf and score every
 biadjacency mask, with the same smallest-mask tie-break.
@@ -97,6 +100,16 @@ def bip_graphs(draw, max_nx=4, max_ny=5):
     ny = draw(st.integers(1, max_ny))
     mask = draw(st.integers(0, (1 << (nx * ny)) - 1))
     return bip_from_mask(nx, ny, mask)
+
+
+def ref_nu(adj):
+    """Matching number of 0-based rows ``adj``: the largest r for which the
+    oracle's branch-and-bound feasibility test finds a matching of size r."""
+    full = (1 << len(adj)) - 1
+    r = 0
+    while _exists_matching(adj, full, r + 1):
+        r += 1
+    return r
 
 
 def ref_scan_free_max(n, k, s, t=None):

@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 import turanmatch
-from turanmatch import compress, parse_graph, serialize_graph
+from turanmatch import compress, extremal_graph, parse_graph, serialize_graph
 from turanmatch.cli import dispatch
 
 
@@ -64,9 +64,11 @@ def test_nu_and_count(tmp_path, capsys):
 def test_count_pattern_errors(capsys, tmp_path):
     path = tmp_path / "g.txt"
     path.write_text("2 1\n1 2\n")
-    for pattern in ("clique", "clique:a", "star:1", "quux:1,2"):
+    for pattern in ("clique", "clique:a", "star:1", "quux:1,2", "clique:1_0", "clique:+2",
+                    "clique:-2", "clique:02", "clique: 2", "clique:2,", "star:1,+2", "bip:1,-1"):
         code, out, err = run(capsys, "count", "--input", str(path), "--pattern", pattern)
-        assert code == 2 and err.startswith("error:")
+        assert code == 2 and out == "", pattern
+        assert err == "error: --pattern expects clique:S, star:S,T or bip:S,T\n", pattern
 
 
 def test_shift_single_and_full(tmp_path, capsys):
@@ -91,6 +93,19 @@ def test_cover_output(tmp_path, capsys):
     bad.write_text("3 1\n1 2\n")
     code, _, err = run(capsys, "cover", "--input", str(bad), "--bipartite", "2,1")
     assert code == 2 and "across" in err
+    for parts in ("+2,1", "2,+1", "-1,4", "02,1", " 2,1", "2,1 ", "2", "2,1,0", "a,b", "2_0,1"):
+        code, out, err = run(capsys, "cover", "--input", str(path), f"--bipartite={parts}")
+        assert code == 2 and out == "" and err == "error: --bipartite expects nx,ny\n", parts
+
+
+def test_matching_commands_reach_the_graph_cap(tmp_path, capsys):
+    path = tmp_path / "g64.txt"
+    path.write_text(serialize_graph(extremal_graph(64, 20, 30)))
+    assert run(capsys, "nu", "--input", str(path)) == (0, "20\n", "")
+    code, out, _ = run(capsys, "verify", "lemma21", "--n", "40", "--samples", "20")
+    assert code == 0
+    assert out == ("PASS edge-conservation cases=20 violations=0 seed=0\n"
+                   "PASS matching-monotone cases=20 violations=0 seed=0\n")
 
 
 def test_io_and_usage_errors(capsys, tmp_path):

@@ -1,7 +1,9 @@
+from random import Random
+
 import pytest
 from hypothesis import given
 
-from helpers import all_graphs, bip_from_mask, bip_graphs, graphs
+from helpers import all_graphs, bip_from_mask, bip_graphs, graphs, ref_nu
 from turanmatch import (
     BipartiteGraph,
     CapacityError,
@@ -14,6 +16,7 @@ from turanmatch import (
     koenig_cover,
     matching_number,
 )
+from turanmatch.matching import _nu
 
 
 def _complete_bip(nx, ny):
@@ -30,8 +33,81 @@ def test_matching_number_examples():
 
 
 def test_matching_number_capacity():
+    # no cap of its own: nu runs to the 64-vertex graph cap, which Graph enforces
+    assert matching_number(empty_graph(64)) == 0
+    assert matching_number(complete_graph(64)) == 32
     with pytest.raises(CapacityError):
-        matching_number(empty_graph(29))
+        empty_graph(65)
+    with pytest.raises(CapacityError):
+        Graph.from_edges(65, [(1, 65)])
+
+
+def test_nu_matches_reference_on_every_small_graph():
+    for n in range(7):
+        for g in all_graphs(n):
+            assert _nu(g.adj) == ref_nu(g.adj), g.edges()
+
+
+@given(graphs(max_n=16))
+def test_nu_matches_reference_random(g):
+    assert _nu(g.adj) == ref_nu(g.adj)
+
+
+def _relabelled(n, edges, rng):
+    """The graph on n vertices with 0-based ``edges`` under a random labelling."""
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return Graph.from_edges(n, [(perm[u] + 1, perm[v] + 1) for u, v in edges])
+
+
+def _families_64():
+    """(name, 0-based edges on 64 vertices, matching number)."""
+    triangles = [e for i in range(0, 63, 3) for e in ((i, i + 1), (i + 1, i + 2), (i, i + 2))]
+    # fifteen 5-cycles s-a-b-t-c-s, each sharing its t with the next one's s
+    beads = [e for s in range(0, 60, 4)
+             for e in ((s, s + 1), (s + 1, s + 2), (s + 2, s + 4), (s + 4, s + 3), (s + 3, s))]
+    return [
+        ("five-cycle chain + triangle", beads + [(61, 62), (62, 63), (61, 63)], 31),
+        ("bridged triangles + isolated vertex", triangles + [(i, i + 1) for i in range(2, 62, 3)], 31),
+        ("disjoint triangles + isolated vertex", triangles, 21),
+        ("K_63 + pendant vertex", [(u, v) for u in range(63) for v in range(u + 1, 63)] + [(0, 63)], 32),
+    ]
+
+
+def test_nu_at_64_vertices_known_families():
+    rng = Random(64)
+    for name, edges, nu in _families_64():
+        for _ in range(4):  # labellings scatter the odd cycles the search must contract
+            assert matching_number(_relabelled(64, edges, rng)) == nu, name
+    for k in (0, 1, 5, 16, 31):
+        for ell in range(k + 1, 2 * k + 2):
+            g = extremal_graph(64, k, ell)
+            assert matching_number(g) == k, (k, ell)
+            assert matching_number(_relabelled(64, [(e.u - 1, e.v - 1) for e in g.edges()], rng)) == k
+
+
+def test_nu_ignores_labels_on_sparse_64_vertex_graphs():
+    # at mean degree 3-4 the greedy start leaves long augmenting paths through
+    # nested odd cycles, and the labels decide which cycles the search meets first
+    rng = Random(3)
+    for _ in range(300):
+        p = rng.choice((3, 4)) / 63
+        edges = [(u, v) for u in range(64) for v in range(u + 1, 64) if rng.random() < p]
+        assert len({matching_number(_relabelled(64, edges, rng)) for _ in range(3)}) == 1, edges
+
+
+def test_nu_matches_networkx():
+    networkx = pytest.importorskip("networkx")
+    rng = Random(7)
+    for _ in range(300):
+        n = rng.randint(1, 64)
+        p = rng.choice((0.02, 0.05, 0.1, 0.3, 0.6))
+        edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+        ref = networkx.Graph()
+        ref.add_nodes_from(range(n))
+        ref.add_edges_from(edges)
+        expected = len(networkx.max_weight_matching(ref, maxcardinality=True))
+        assert matching_number(_relabelled(n, edges, rng)) == expected, (n, edges)
 
 
 def test_extremal_graph_matching_number_grid():

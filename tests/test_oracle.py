@@ -127,8 +127,12 @@ def test_verify_shift_lemmas_violation_text(monkeypatch):
 
 
 def test_verify_shift_lemmas_validation():
-    with pytest.raises(CapacityError):
-        verify_shift_lemmas(7)
+    with pytest.MonkeyPatch.context() as mp:  # caps hold before the edge slots are listed
+        mp.setattr("turanmatch.oracle._edge_slots", None)
+        with pytest.raises(CapacityError):
+            verify_shift_lemmas(7)
+        with pytest.raises(CapacityError):  # random mode is capped where Graph is
+            verify_shift_lemmas(65, samples=1)
     with pytest.raises(ValueError):
         verify_shift_lemmas(1, samples=10)
     with pytest.raises(ValueError):
