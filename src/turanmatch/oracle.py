@@ -5,7 +5,11 @@ enumerating all labeled graphs (bitmasks over the C(n,2) edge slots) with
 matching number at most k.  The structural laws are checked instance by
 instance, reporting any counterexample in full; the saturated König host's
 count is compared with ``extremal.bip_split_count``, and the shift laws are
-one table of quantities measured once per graph, before its shifts.
+one table of quantities measured once per graph, before its shifts.  A law
+check skips only what cannot change its verdict: the König check fills rows
+from the most significant down and drops a row prefix whose matching number
+already exceeds k, with every completion; the degree closure tests the
+degree sum before the matching test, which only pairs meeting it need.
 
 Enumeration prunes a branch as soon as the partial graph's matching number
 exceeds k, which discards only graphs whose every completion is also over
@@ -375,25 +379,29 @@ def verify_bondy_chvatal(n: int) -> list[Check]:
 
     For each instance let k+1 be the matching number after adding the edge;
     if both endpoint degrees sum to at least 2k+1 the matching number must
-    not have grown.
+    not have grown.  Each graph's non-edge slots are its cases; the degree
+    test comes first, so only pairs that meet it pay for the matching test.
     """
     if n > MAX_ORACLE_VERTICES:
         raise CapacityError(f"capped at n <= {MAX_ORACLE_VERTICES}")
     if n < 0:
         raise ValueError(f"need n >= 0, got n={n}")
     slots = _edge_slots(n)
+    every = (1 << len(slots)) - 1
     full = (1 << n) - 1
     cases = 0
     violations = []
-    for mask in range(1 << len(slots)):
+    for mask in range(every + 1):
         rows = _rows_from_mask(n, mask, slots)
         nu = _nu(rows)
-        for idx, (u, v) in enumerate(slots):
-            if mask >> idx & 1:
-                continue
-            cases += 1
-            grew = _exists_matching(rows, full ^ (1 << u) ^ (1 << v), nu)
-            if grew and rows[u].bit_count() + rows[v].bit_count() >= 2 * nu + 1:
+        non_edges = every ^ mask
+        cases += non_edges.bit_count()
+        while non_edges:
+            b = non_edges & -non_edges
+            non_edges ^= b
+            u, v = slots[b.bit_length() - 1]
+            if (rows[u].bit_count() + rows[v].bit_count() >= 2 * nu + 1
+                    and _exists_matching(rows, full ^ (1 << u) ^ (1 << v), nu)):
                 violations.append(
                     f"G={_edge_text(rows)} uv=({u + 1},{v + 1}) k={nu}: "
                     f"degrees reach 2k+1 yet adding uv raises the matching number"
@@ -410,23 +418,50 @@ def verify_koenig_gstar(
     """For every bipartite graph with matching number exactly k: the minimum
     cover has size k and covers everything; saturating the cover sides yields
     a supergraph whose biclique counts dominate the original and match the
-    closed-form split count at x = |X-side of the cover|."""
+    closed-form split count at x = |X-side of the cover|.
+
+    Rows are filled from row nx-1 (the most significant in the mask) down to
+    row 0, each row ascending, so graphs arrive in ascending mask order.  A
+    partial graph whose matching number, undecided rows empty, already
+    exceeds k is dropped with every completion: each completion contains it,
+    so none is a case.  Row 0 is never tested as a prefix, since the graph's
+    own matching decides there, and nothing is tested when k >= min(nx, ny).
+    Every surviving graph gets the full check.
+    """
     if nx * ny > MAX_ORACLE_BIP_SLOTS:
         raise CapacityError(f"capped at nx*ny <= {MAX_ORACLE_BIP_SLOTS}")
     if nx < 0 or ny < 0 or k < 0:
         raise ValueError(f"need nx, ny, k >= 0, got nx={nx}, ny={ny}, k={k}")
     full_y = (1 << ny) - 1
+    bounded = k < min(nx, ny)  # otherwise no graph exceeds the bound
+    # expected host count per (x, s, t), x = |X-side of a case's cover| <= k;
+    # no graph has matching number k > min(nx, ny), so then none is needed
+    formula = {
+        (x, s, t): bip_split_count(nx, k, x, s, s, ny) if s == t
+        else bip_split_count_sym(nx, k, x, s, t, ny)
+        for x in range(k + 1) if k <= min(nx, ny)
+        for s, t in pairs
+    }
     cases = 0
     dual_bad: list[str] = []
     contain_bad: list[str] = []
     mono_bad: list[str] = []
     formula_bad: list[str] = []
+    rows = [0] * nx
 
     def where(rows) -> str:
         return f"G(X={nx},Y={ny})={BipartiteGraph(nx, ny, rows).edges()}"
 
-    for mask in range(1 << (nx * ny)):
-        rows = [(mask >> (x * ny)) & full_y for x in range(nx)]
+    def fill(x: int):  # rows above x are set, rows below it zero
+        for row in range(full_y + 1):
+            rows[x] = row
+            if x == 0:
+                yield
+            elif not bounded or _bip_nu(rows, nx, ny)[0] <= k:
+                yield from fill(x - 1)
+        rows[x] = 0
+
+    for _ in fill(nx - 1) if nx else [None]:  # no rows: the one empty graph
         size, match_y = _bip_nu(rows, nx, ny)
         if size != k:
             continue
@@ -448,11 +483,7 @@ def verify_koenig_gstar(
             c_star = _bip_sum(star_rows, ny, s, t)
             if c_g > c_star:
                 mono_bad.append(f"{where(rows)} (s,t)=({s},{t}): {c_g} > {c_star}")
-            expected = (
-                bip_split_count(nx, k, x_count, s, s, ny)
-                if s == t
-                else bip_split_count_sym(nx, k, x_count, s, t, ny)
-            )
+            expected = formula[x_count, s, t]
             if c_star != expected:
                 formula_bad.append(
                     f"{where(rows)} (s,t)=({s},{t}): host count {c_star} != formula {expected}"

@@ -10,7 +10,10 @@ branch and bound that shares no code with the blossom routine it checks.
 
 The reference scans are the straightforward exhaustive maxima the oracle's
 scans must reproduce: they recount the pattern at every leaf and score every
-biadjacency mask, with the same smallest-mask tie-break.
+biadjacency mask, with the same smallest-mask tie-break.  The reference law
+checks walk every mask the same way and test each instance in full: the König
+check without prefix pruning, the degree closure with the matching test
+before the degree test.
 """
 
 from itertools import combinations
@@ -18,8 +21,18 @@ from itertools import combinations
 from hypothesis import strategies as st
 
 from turanmatch import BipartiteGraph, Graph
-from turanmatch.counting import _clique_top_sum, _oriented_bip
-from turanmatch.matching import _bip_nu, _exists_matching
+from turanmatch.counting import _bip_sum, _clique_top_sum, _oriented_bip
+from turanmatch.errors import CapacityError
+from turanmatch.extremal import bip_split_count, bip_split_count_sym
+from turanmatch.matching import _bip_nu, _cover_masks, _exists_matching, _nu
+from turanmatch.oracle import (
+    MAX_ORACLE_BIP_SLOTS,
+    MAX_ORACLE_VERTICES,
+    Check,
+    _edge_slots,
+    _edge_text,
+    _rows_from_mask,
+)
 
 
 def edge_slots(n):
@@ -156,6 +169,90 @@ def ref_scan_bip_max(nx, ny, k, s, t):
         if value > best_value or (value == best_value and mask < best_mask):
             best_value, best_mask = value, mask
     return best_value, best_mask
+
+
+def ref_verify_bondy_chvatal(n):
+    """Degree-closure law on every (graph, non-edge) pair on 1..n, every
+    slot of every mask visited and the matching test run on each pair."""
+    if n > MAX_ORACLE_VERTICES:
+        raise CapacityError(f"capped at n <= {MAX_ORACLE_VERTICES}")
+    if n < 0:
+        raise ValueError(f"need n >= 0, got n={n}")
+    slots = _edge_slots(n)
+    full = (1 << n) - 1
+    cases = 0
+    violations = []
+    for mask in range(1 << len(slots)):
+        rows = _rows_from_mask(n, mask, slots)
+        nu = _nu(rows)
+        for idx, (u, v) in enumerate(slots):
+            if mask >> idx & 1:
+                continue
+            cases += 1
+            grew = _exists_matching(rows, full ^ (1 << u) ^ (1 << v), nu)
+            if grew and rows[u].bit_count() + rows[v].bit_count() >= 2 * nu + 1:
+                violations.append(
+                    f"G={_edge_text(rows)} uv=({u + 1},{v + 1}) k={nu}: "
+                    f"degrees reach 2k+1 yet adding uv raises the matching number"
+                )
+    return [Check("degree-closure", cases, tuple(violations))]
+
+
+def ref_verify_koenig_gstar(nx, ny, k, pairs=((1, 1), (1, 2), (2, 2))):
+    """The König and saturated-host checks on every one of the 2^(nx*ny)
+    biadjacency masks, one full matching per mask."""
+    if nx * ny > MAX_ORACLE_BIP_SLOTS:
+        raise CapacityError(f"capped at nx*ny <= {MAX_ORACLE_BIP_SLOTS}")
+    if nx < 0 or ny < 0 or k < 0:
+        raise ValueError(f"need nx, ny, k >= 0, got nx={nx}, ny={ny}, k={k}")
+    full_y = (1 << ny) - 1
+    cases = 0
+    dual_bad = []
+    contain_bad = []
+    mono_bad = []
+    formula_bad = []
+
+    def where(rows):
+        return f"G(X={nx},Y={ny})={BipartiteGraph(nx, ny, rows).edges()}"
+
+    for mask in range(1 << (nx * ny)):
+        rows = [(mask >> (x * ny)) & full_y for x in range(nx)]
+        size, match_y = _bip_nu(rows, nx, ny)
+        if size != k:
+            continue
+        cases += 1
+        xs, ys = _cover_masks(rows, nx, match_y)
+        covered = all(rows[x] & ~ys == 0 for x in range(nx) if not xs >> x & 1)
+        if xs.bit_count() + ys.bit_count() != k or not covered:
+            cover = tuple(tuple(a + 1 for a in range(m) if side >> a & 1)
+                          for m, side in ((nx, xs), (ny, ys)))
+            dual_bad.append(f"{where(rows)}: cover {cover} vs matching {k}")
+            continue
+        star_rows = [full_y if xs >> x & 1 else ys for x in range(nx)]
+        if any(rows[x] & ~star_rows[x] for x in range(nx)):
+            contain_bad.append(f"{where(rows)}: not contained in its saturated host")
+            continue
+        x_count = xs.bit_count()
+        for s, t in pairs:
+            c_g = _bip_sum(rows, ny, s, t)
+            c_star = _bip_sum(star_rows, ny, s, t)
+            if c_g > c_star:
+                mono_bad.append(f"{where(rows)} (s,t)=({s},{t}): {c_g} > {c_star}")
+            expected = (
+                bip_split_count(nx, k, x_count, s, s, ny)
+                if s == t
+                else bip_split_count_sym(nx, k, x_count, s, t, ny)
+            )
+            if c_star != expected:
+                formula_bad.append(
+                    f"{where(rows)} (s,t)=({s},{t}): host count {c_star} != formula {expected}"
+                )
+    return [
+        Check("koenig-duality", cases, tuple(dual_bad)),
+        Check("gstar-contains", cases, tuple(contain_bad)),
+        Check("gstar-monotone", cases, tuple(mono_bad)),
+        Check("gstar-formula", cases, tuple(formula_bad)),
+    ]
 
 
 class InlinePool:

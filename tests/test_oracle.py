@@ -7,6 +7,8 @@ from helpers import (
     graph_from_mask,
     ref_scan_bip_max,
     ref_scan_free_max,
+    ref_verify_bondy_chvatal,
+    ref_verify_koenig_gstar,
 )
 from turanmatch import (
     CapacityError,
@@ -27,7 +29,7 @@ from turanmatch import (
     verify_shift_lemmas,
     verify_shifted_structure,
 )
-from turanmatch.matching import _cover_masks
+from turanmatch.matching import _bip_nu, _cover_masks
 
 
 def test_iter_free_graphs_matches_filtered_enumeration():
@@ -161,9 +163,37 @@ def test_verify_shifted_structure_rejects_unverified_regime():
 
 
 def test_verify_bondy_chvatal_small():
-    for n in (1, 3, 4):
+    for n in range(7):
         (check,) = verify_bondy_chvatal(n)
         assert check.ok
+        m = n * (n - 1) // 2
+        assert check.cases == m * 2**m // 2  # every non-edge of every graph
+
+
+def test_verify_bondy_chvatal_violation_text(monkeypatch):
+    # no graph on 4 vertices has a non-edge meeting the degree condition, so
+    # the smallest order where the text can appear is 5
+    monkeypatch.setattr("turanmatch.oracle._exists_matching", lambda *a: True)
+    (check,) = verify_bondy_chvatal(5)
+    assert (check.cases, len(check.violations)) == (5120, 580)
+    assert check.violations[0] == (
+        "G={(1,2) (1,3) (1,4)} uv=(1,5) k=1: "
+        "degrees reach 2k+1 yet adding uv raises the matching number"
+    )
+
+
+def _inject(monkeypatch, name, fake):
+    """Replace ``name`` in the oracle and in the reference checks alike."""
+    for module in ("turanmatch.oracle", "helpers"):
+        monkeypatch.setattr(f"{module}.{name}", fake)
+
+
+def test_verify_bondy_chvatal_matches_reference(monkeypatch):
+    for n in range(7):
+        assert verify_bondy_chvatal(n) == ref_verify_bondy_chvatal(n), n
+    _inject(monkeypatch, "_exists_matching", lambda *a: True)
+    for n in range(7):
+        assert verify_bondy_chvatal(n) == ref_verify_bondy_chvatal(n), n
 
 
 def test_clique_agreement_full_grid_small_hosts():
@@ -233,17 +263,61 @@ def test_verify_koenig_gstar_violation_text(monkeypatch):
     )
 
 
-def test_verify_koenig_gstar_reports_a_wrong_cover(monkeypatch):
-    def padded(rows, nx, match_y):  # a valid cover plus Y-vertex 1: too large
-        xs, ys = _cover_masks(rows, nx, match_y)
-        return xs, ys | 1
+def _padded_cover(rows, nx, match_y):  # a valid cover plus Y-vertex 1: too large
+    xs, ys = _cover_masks(rows, nx, match_y)
+    return xs, ys | 1
 
-    monkeypatch.setattr("turanmatch.oracle._cover_masks", padded)
+
+def test_verify_koenig_gstar_reports_a_wrong_cover(monkeypatch):
+    monkeypatch.setattr("turanmatch.oracle._cover_masks", _padded_cover)
     checks = verify_koenig_gstar(2, 3, 2)
     assert [(ch.cases, len(ch.violations)) for ch in checks] == [(46, 46), (46, 0), (46, 0), (46, 0)]
     assert checks[0].violations[0] == (
         "G(X=2,Y=3)=[(1, 2), (2, 1)]: cover ((1, 2), (1,)) vs matching 2"
     )
+
+
+def test_verify_koenig_gstar_matches_full_mask_reference():
+    # one pair keeps the grid fast; the fault tests below run the default pairs
+    for nx in range(5):
+        for ny in range(5):
+            for k in range(min(nx, ny) + 2):
+                args = (nx, ny, k, ((1, 2),))
+                assert verify_koenig_gstar(*args) == ref_verify_koenig_gstar(*args), args
+
+
+@pytest.mark.parametrize("fault", ["formula", "cover"])
+def test_verify_koenig_gstar_reports_like_the_reference(monkeypatch, fault):
+    if fault == "formula":
+        _inject(monkeypatch, "bip_split_count", lambda *a: bip_split_count(*a) + 1)
+    else:
+        _inject(monkeypatch, "_cover_masks", _padded_cover)
+    sizes = [(nx, ny, k) for nx in range(4) for ny in range(4) for k in range(min(nx, ny) + 2)]
+    for args in sizes + [(4, 4, 1), (4, 4, 2)]:
+        checks = verify_koenig_gstar(*args)
+        assert checks == ref_verify_koenig_gstar(*args), args
+        assert any(ch.violations for ch in checks) == (checks[0].cases > 0), args
+
+
+def test_verify_koenig_gstar_cases_cover_every_graph():
+    for nx, ny in ((4, 4), (3, 4), (2, 3)):
+        cases = [verify_koenig_gstar(nx, ny, k, pairs=())[0].cases for k in range(min(nx, ny) + 1)]
+        assert sum(cases) == 2 ** (nx * ny), (nx, ny)
+        if (nx, ny) == (4, 4):
+            assert cases == [1, 104, 2912, 24696, 37823]
+
+
+def test_verify_koenig_gstar_prunes_row_prefixes(monkeypatch):
+    calls = 0
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return _bip_nu(*args)
+
+    monkeypatch.setattr("turanmatch.oracle._bip_nu", counted)
+    verify_koenig_gstar(4, 4, 1)
+    assert calls < 2500  # 1,824 with pruning; every one of the 65,536 graphs without
 
 
 def _inline_pool(monkeypatch, cores=2):
