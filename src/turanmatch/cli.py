@@ -17,7 +17,7 @@ import argparse
 import sys
 
 from . import counting, extremal, matching, oracle, shifting
-from .errors import ParseError
+from .errors import ParameterRangeError, ParseError
 from .graph import (
     BipartiteGraph,
     _is_decimal,
@@ -181,11 +181,21 @@ def _agreement(name: str, formula, scan):
     return run
 
 
+def _degree_closure(a):
+    # d(u) + d(v) >= 2k+1 needs a non-edge uv of degree sum >= 3, and on 4
+    # vertices any such pair already spans a matching of size 2
+    if a.n <= 4:
+        raise ParameterRangeError(
+            f"verify lemma31 needs --n >= 5, got {a.n}: on fewer vertices "
+            f"no non-edge meets d(u)+d(v) >= 2k+1, so nothing would be checked")
+    return oracle.verify_bondy_chvatal(a.n)
+
+
 # check -> (required flags, the one optional flag it honours, runner)
 _VERIFY = {
     "lemma21": (("n",), "samples", _shift_laws(("edges", "matching"))),
     "lemma22": (("n",), "samples", _shift_laws(("edges", "cliques", "stars"))),
-    "lemma31": (("n",), None, lambda a: oracle.verify_bondy_chvatal(a.n)),
+    "lemma31": (("n",), None, _degree_closure),
     "lemma32": (("n", "k"), None, lambda a: oracle.verify_shifted_structure(a.n, a.k)),
     "koenig": (("n", "k"), None, lambda a: oracle.verify_koenig_gstar(a.n, a.n, a.k)),
     "thm11": (("n", "k"), "jobs", _agreement(

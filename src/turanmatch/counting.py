@@ -61,22 +61,24 @@ def _clique_top_sum(adj, n: int, s: int, t: int) -> int:
     return _clique_sum(adj, full, full, s, t)
 
 
-def _clique_gain(adj, u: int, v: int, s: int, t: int) -> int:
-    """Increase of ``_clique_top_sum(adj, n, s, t)`` when the absent edge uv
-    is added (0-based rows, u != v).
+def _clique_gain(adj, ru: int, rv: int, s: int, t: int) -> int:
+    """Increase of the sum of C(|common neighborhood|, t) over s-cliques
+    when an absent edge uv is added, u and v having the rows ``ru`` and
+    ``rv`` and every other vertex its row in ``adj``.
 
     The new (C1, C2) copies are exactly those that use uv.  Either uv lies
     inside C1 = K + {u, v}, with K an (s-2)-clique in N(u) & N(v) and C2 a
     t-subset of N(K) & N(u) & N(v); or it crosses, C1 = K + {a} and C2 =
     {b} + D for (a, b) in {(u, v), (v, u)}, with K an (s-1)-clique in
     N(u) & N(v) and D a (t-1)-subset of N(K) & N(a).  Neighborhoods are read
-    before the edge is added, so b is not in N(a).
+    before the edge is added, so b is not in N(a); only the rows of K are
+    read from ``adj``, so v need not have a row there.
     """
-    both = adj[u] & adj[v]
+    both = ru & rv
     gain = _clique_sum(adj, both, both, s - 2, t)
     if t >= 1:
-        gain += _clique_sum(adj, both, adj[u], s - 1, t - 1)
-        gain += _clique_sum(adj, both, adj[v], s - 1, t - 1)
+        gain += _clique_sum(adj, both, ru, s - 1, t - 1)
+        gain += _clique_sum(adj, both, rv, s - 1, t - 1)
     return gain
 
 

@@ -13,15 +13,22 @@ degree sum before the matching test, which only pairs meeting it need.
 
 Enumeration prunes a branch as soon as the partial graph's matching number
 exceeds k, which discards only graphs whose every completion is also over
-the bound; when k >= n/2 nothing can exceed it and the feasibility test is
-skipped.  The general scan measures a task's fixed slot prefix directly and
-carries the pattern count down the rest of the edge-slot recursion: adding
-edge uv adds only the copies that use uv, so no leaf is recounted.  The
-bipartite scan scores one member per orbit of X-row permutations, the
-nonincreasing row tuple, which is the orbit's smallest mask and shares its
-matching number and biclique count.  Witness ties break on the smallest
-edge mask under the canonical lexicographic slot order, so merges are order
-independent.
+the bound; when no completion can exceed k the feasibility test is skipped.
+The general scan walks vertex rows: a task fixes the graph on the first few
+vertices and measures it directly, then each later vertex v is one DFS
+level choosing v's back-row, its neighbours below v.  Since nu <= k is
+hereditary for induced subgraphs, the bound prunes at every vertex, through
+one ``grow`` mask per parent: the vertices b whose removal leaves a matching
+of the parent's size, so that a back-row raises the matching number exactly
+when it meets ``grow``.  The pattern count is carried down, each back-row
+adding the copies through v, so no leaf is recounted, and the last vertex's
+back-rows are scored in a flat loop.  The bipartite scan scores one member
+per orbit of X-row permutations, the nonincreasing row tuple, which is the
+orbit's smallest mask and shares its matching number and biclique count.
+Witness ties break on the smallest edge mask under the canonical
+lexicographic slot order, whatever order the graphs are visited in: the
+vertex scan maps each back-row to its edge mask in that order, so merges
+are order independent and the witnesses those of an edge-slot scan.
 """
 
 from __future__ import annotations
@@ -32,9 +39,10 @@ import random
 from dataclasses import dataclass
 from functools import partial
 from itertools import combinations_with_replacement
+from math import comb
 from multiprocessing import get_context
 
-from .counting import _bip_sum, _clique_gain, _clique_top_sum
+from .counting import _bip_sum, _clique_gain, _clique_sum, _clique_top_sum
 from .errors import CapacityError, ParameterRangeError
 from .extremal import ExtremalParams, bip_split_count, bip_split_count_sym
 from .graph import BipartiteGraph, Graph, _check_vertex_count, extremal_graph
@@ -131,43 +139,97 @@ def iter_free_graphs(n: int, k: int):
     yield from rec(0, 0)
 
 
-def _scan_free_max(n, k, s, t, prefix_mask, prefix_len):
-    """Best (value, mask) over free graphs extending a fixed slot prefix.
-
-    The prefix graph is measured once, its matching number and its pattern
-    count; the count then travels down the recursion, each added edge adding
-    only the copies that use it.
-    """
+def _back_masks(n: int) -> list[list[int]]:
+    """canon[v][B]: the edge mask, in the lexicographic slot order of n
+    vertices, of the edges from v back to the vertex set B below it."""
     slots = _edge_slots(n)
-    nslots = len(slots)
-    adj = _rows_from_mask(n, prefix_mask, slots)
-    full = (1 << n) - 1
-    bounded = k < n // 2  # otherwise no graph on n vertices exceeds the bound
-    nu = _nu(adj)
+    canon = [[0] for _ in range(n)]
+    for v in range(1, n):
+        bits = [1 << slots.index((u, v)) for u in range(v)]
+        table = canon[v] = [0] * (1 << v)
+        for back in range(1, 1 << v):
+            low = back & -back
+            table[back] = table[back ^ low] | bits[low.bit_length() - 1]
+    return canon
+
+
+def _steps(backs) -> list[tuple[int, int, int]]:
+    """(j, backs[j], w) for each i >= 1, where ``backs`` lists every subset
+    of one vertex set in ascending order: j = i & (i - 1) indexes backs[i]
+    less its lowest vertex w."""
+    return [(i & (i - 1), backs[i & (i - 1)], (backs[i] & -backs[i]).bit_length() - 1)
+            for i in range(1, len(backs))]
+
+
+def _scan_free_max(n, k, s, t, prefix):
+    """Best (value, mask) over free graphs on n vertices whose first
+    len(prefix) vertices induce the graph with rows ``prefix``.
+
+    The prefix is measured once, its matching number and its pattern count.
+    Each later vertex v is one DFS level that picks v's back-row B, the
+    neighbours of v below it.  Over the back-rows of one parent the count
+    grows as val[B] = val[B - w] + (copies through the edge vw), read off
+    the parent graph; the last vertex's back-rows are scored in a flat loop.
+    The parent's ``grow`` mask holds each b whose removal leaves a matching
+    of the parent's size nu: a back-row raises the matching number to nu + 1
+    exactly when it meets ``grow``, so at nu = k only subsets of the other
+    vertices are visited.  A graph's mask is the OR of ``_back_masks``
+    entries along its path, which is its edge mask in the lexicographic slot
+    order, so the smallest-mask witness is the one the edge-slot order gives.
+    """
+    nu = _nu(prefix)
     if nu > k:
         return None
-    best_value = -1
-    best_mask = 0
+    canon = _back_masks(n)
+    full_steps = [_steps(range(1 << v)) for v in range(n)]
+    gain = _clique_gain  # bound once, looked up per back-row
+    mask = 0
+    for v, row in enumerate(prefix):
+        mask |= canon[v][row & ((1 << v) - 1)]
+    value = _clique_top_sum(prefix, len(prefix), s, t)
+    base = _clique_sum(prefix, 0, 0, s - 1, t)  # copies on v alone, before its edges
+    best_value = value if len(prefix) == n else -1
+    best_mask = mask
 
-    def rec(idx: int, mask: int, nu: int, value: int) -> None:
+    def rec(adj: list[int], nu: int, value: int, mask: int) -> None:
         nonlocal best_value, best_mask
-        if idx == nslots:
-            if value > best_value or (value == best_value and mask < best_mask):
-                best_value = value
-                best_mask = mask
+        v = len(adj)
+        below = (1 << v) - 1
+        grow = 0
+        if k < min(nu + n - v, n // 2):  # else no completion exceeds k
+            for b in range(v):
+                if _exists_matching(adj, below ^ (1 << b), nu):
+                    grow |= 1 << b
+        if nu == k and grow:  # the back-rows avoiding grow, ascending
+            allowed = below & ~grow
+            backs = [0]
+            while backs[-1] != allowed:
+                backs.append((backs[-1] - allowed) & allowed)
+            steps = _steps(backs)
+        else:
+            backs = range(1 << v)
+            steps = full_steps[v]
+        vals = [base]
+        append = vals.append
+        for j, rest, w in steps:
+            append(vals[j] + gain(adj, adj[w], rest, s, t))
+        table = canon[v]
+        if v == n - 1:
+            top = max(vals)
+            if value + top >= best_value:
+                low = min(table[b] for b, x in zip(backs, vals) if x == top)
+                if value + top > best_value or mask | low < best_mask:
+                    best_value = value + top
+                    best_mask = mask | low
             return
-        rec(idx + 1, mask, nu, value)
-        u, v = slots[idx]
-        inc = bounded and _exists_matching(adj, full ^ (1 << u) ^ (1 << v), nu)
-        if not (nu == k and inc):
-            gain = _clique_gain(adj, u, v, s, t)
-            adj[u] |= 1 << v
-            adj[v] |= 1 << u
-            rec(idx + 1, mask | (1 << idx), nu + (1 if inc else 0), value + gain)
-            adj[u] &= ~(1 << v)
-            adj[v] &= ~(1 << u)
+        bit = 1 << v
+        for back, extra in zip(backs, vals):
+            child = [row | bit if back >> u & 1 else row for u, row in enumerate(adj)]
+            child.append(back)
+            rec(child, nu + (1 if back & grow else 0), value + extra, mask | table[back])
 
-    rec(prefix_len, prefix_mask, nu, _clique_top_sum(adj, n, s, t))
+    if len(prefix) < n:
+        rec(list(prefix), nu, value, mask)
     return best_value, best_mask
 
 
@@ -196,20 +258,23 @@ def max_over_free(n: int, k: int, s: int, t: int | None = None, jobs: int = 1) -
     matching number <= k, plus a witness graph.
 
     ``t is None`` counts s-cliques; otherwise (s-clique joined to t-set)
-    pairs.  ``jobs`` partitions the slot prefixes across worker processes
-    (at most one per core); the merged result is identical for any job count.
+    pairs.  ``jobs`` splits the scan by the graph on the first few vertices
+    across worker processes (at most one per core); the merged result is
+    identical for any job count.
     """
     if n > MAX_ORACLE_VERTICES:
         raise CapacityError(f"exhaustive search capped at n <= {MAX_ORACLE_VERTICES}")
     if n < 0 or k < 0 or s < 1 or (t is not None and t < 1) or jobs < 1:
         raise ValueError(f"bad arguments n={n}, k={k}, s={s}, t={t}, jobs={jobs}")
     tt = 0 if t is None else t
-    slots = _edge_slots(n)
     jobs = min(jobs, os.cpu_count() or 1)  # never more workers than cores
-    plen = min(len(slots), (4 * jobs - 1).bit_length()) if jobs > 1 else 0
-    tasks = [(n, k, s, tt, pm, plen) for pm in range(1 << plen)]
+    p = 0  # one task per graph on the first p vertices, at least 4 per worker
+    while jobs > 1 and p < n and 1 << comb(p, 2) < 4 * jobs:
+        p += 1
+    slots = _edge_slots(p)
+    tasks = [(n, k, s, tt, tuple(_rows_from_mask(p, pm, slots))) for pm in range(1 << len(slots))]
     value, mask = _merge_best(_run_tasks(_scan_free_max, tasks, jobs))
-    graph = Graph(n, _rows_from_mask(n, mask, slots))
+    graph = Graph(n, _rows_from_mask(n, mask, _edge_slots(n)))
     return Witness(graph, value, ExtremalParams(n=n, k=k, s=s, t=t))
 
 

@@ -142,12 +142,20 @@ def test_verify_random_mode_reports_seed(capsys):
 
 
 def test_verify_other_checks(capsys):
-    assert run(capsys, "verify", "lemma31", "--n", "4")[0] == 0
+    assert run(capsys, "verify", "lemma31", "--n", "5")[0] == 0
     assert run(capsys, "verify", "lemma32", "--n", "5", "--k", "2")[0] == 0
     assert run(capsys, "verify", "koenig", "--n", "3", "--k", "1")[0] == 0
     assert run(capsys, "verify", "thm11", "--n", "5", "--k", "1")[0] == 0
     assert run(capsys, "verify", "thm13", "--n", "5", "--k", "1", "--s", "1", "--t", "2")[0] == 0
     assert run(capsys, "verify", "thm14", "--n", "3", "--k", "1", "--s", "1", "--t", "1")[0] == 0
+
+
+def test_verify_lemma31_rejects_orders_without_a_case(capsys):
+    code, out, err = run(capsys, "verify", "lemma31", "--n", "4")
+    assert code == 2 and out == ""
+    assert err.startswith("error: verify lemma31 needs --n >= 5, got 4") and err.count("\n") == 1
+    code, _, err = run(capsys, "verify", "lemma31", "--n", "4", "--samples", "7")
+    assert code == 2 and err == "error: verify lemma31 does not take --samples\n"  # flags first
 
 
 def test_verify_missing_flags(capsys):
@@ -169,19 +177,19 @@ def test_verify_zero_cases_is_not_a_pass(capsys):
 
 def test_verify_rejects_flags_it_would_ignore(capsys):
     for argv in (
-        ("lemma31", "--n", "4", "--samples", "7"),
+        ("lemma31", "--n", "5", "--samples", "7"),
         ("lemma32", "--n", "5", "--k", "2", "--samples", "7"),
         ("koenig", "--n", "3", "--k", "1", "--samples", "7"),
         ("thm12", "--n", "5", "--k", "2", "--s", "2", "--samples", "7"),
         ("thm14", "--n", "3", "--k", "1", "--s", "1", "--t", "1", "--samples", "7"),
         ("lemma21", "--n", "4", "--jobs", "2"),
         ("lemma22", "--n", "4", "--jobs", "2"),
-        ("lemma31", "--n", "4", "--jobs", "2"),
+        ("lemma31", "--n", "5", "--jobs", "2"),
         ("lemma32", "--n", "5", "--k", "2", "--jobs", "2"),
         ("koenig", "--n", "3", "--k", "1", "--jobs", "2"),
         ("lemma21", "--n", "8", "--samples", "-5"),
         ("lemma21", "--n", "8", "--samples", "0"),
-        ("lemma31", "--n", "4", "--prob", "0.9", "--seed", "5"),
+        ("lemma31", "--n", "5", "--prob", "0.9", "--seed", "5"),
         ("lemma21", "--n", "4", "--seed", "5"),
         ("lemma22", "--n", "4", "--prob", "0.3"),
         ("koenig", "--n", "3", "--k", "1", "--seed", "0"),

@@ -25,7 +25,7 @@ from turanmatch import (
     extremal_graph,
     extremal_star_count,
 )
-from turanmatch.counting import _clique_gain, _clique_top_sum
+from turanmatch.counting import _clique_gain, _clique_sum, _clique_top_sum
 
 
 def _complete_bip(nx, ny):
@@ -151,5 +151,23 @@ def test_clique_gain_equals_recount_difference(g, data):
     t = data.draw(st.integers(0, 4))
     h = g.add_edge(u + 1, v + 1)
     diff = _clique_top_sum(h.adj, g.n, s, t) - _clique_top_sum(g.adj, g.n, s, t)
-    assert _clique_gain(g.adj, u, v, s, t) == diff
-    assert _clique_gain(g.adj, v, u, s, t) == diff
+    assert _clique_gain(g.adj, g.adj[u], g.adj[v], s, t) == diff
+    assert _clique_gain(g.adj, g.adj[v], g.adj[u], s, t) == diff
+
+
+@given(graphs(min_n=1, max_n=9), st.data())
+def test_back_row_increments_sum_to_the_last_vertex_copies(g, data):
+    # the vertex scan's step: the copies through the last vertex v are the
+    # copies on v alone plus, edge by edge of v's back-row, the copies through
+    # that edge, all read off G - v
+    s = data.draw(st.integers(1, 5))
+    t = data.draw(st.integers(0, 4))
+    v = g.n - 1
+    rows = [row & ~(1 << v) for row in g.adj[:v]]
+    total = _clique_sum(rows, 0, 0, s - 1, t)
+    rest = 0
+    for w in range(v):
+        if g.adj[v] >> w & 1:
+            total += _clique_gain(rows, rows[w], rest, s, t)
+            rest |= 1 << w
+    assert total == _clique_top_sum(g.adj, g.n, s, t) - _clique_top_sum(rows, v, s, t)

@@ -1,3 +1,5 @@
+from multiprocessing import get_context
+
 import pytest
 
 from helpers import (
@@ -29,7 +31,7 @@ from turanmatch import (
     verify_shift_lemmas,
     verify_shifted_structure,
 )
-from turanmatch.matching import _bip_nu, _cover_masks
+from turanmatch.matching import _bip_nu, _cover_masks, _exists_matching
 
 
 def test_iter_free_graphs_matches_filtered_enumeration():
@@ -180,6 +182,15 @@ def test_verify_bondy_chvatal_violation_text(monkeypatch):
         "G={(1,2) (1,3) (1,4)} uv=(1,5) k=1: "
         "degrees reach 2k+1 yet adding uv raises the matching number"
     )
+
+
+def test_degree_condition_is_first_met_at_five_vertices(monkeypatch):
+    # with every added edge counted as raising the matching number, each
+    # non-edge meeting d(u)+d(v) >= 2k+1 is reported
+    monkeypatch.setattr("turanmatch.oracle._exists_matching", lambda *a: True)
+    for n in range(5):
+        assert verify_bondy_chvatal(n)[0].violations == (), n
+    assert len(verify_bondy_chvatal(5)[0].violations) == 580
 
 
 def _inject(monkeypatch, name, fake):
@@ -343,6 +354,43 @@ def test_max_over_free_matches_leaf_recount_reference(monkeypatch):
     assert pool.workers  # the jobs = 2 runs went through the prefix split
 
 
+def test_pruned_seven_vertex_scans_match_reference(monkeypatch):
+    pool = _inline_pool(monkeypatch)
+    for k, s, t in ((2, 2, None), (2, 3, None), (2, 1, 2), (2, 2, 2), (1, 2, None), (1, 1, 2)):
+        value, mask = ref_scan_free_max(7, k, s, t)
+        expected = (value, graph_from_mask(7, mask).edges())
+        for jobs in (1, 2):
+            w = max_over_free(7, k, s, t, jobs=jobs)
+            assert (w.value, w.graph.edges()) == expected, (k, s, t, jobs)
+    assert pool.workers
+
+
+def test_vertex_scan_tests_matchings_once_per_parent_vertex(monkeypatch):
+    calls = 0
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return _exists_matching(*args)
+
+    monkeypatch.setattr("turanmatch.oracle._exists_matching", counted)
+    max_over_free(7, 2, 2)
+    assert calls < 60_000  # 122,293 tests for the edge-slot scan, one per added edge
+
+
+def test_max_over_free_real_worker_pool(monkeypatch):
+    methods = []
+
+    def context(method):
+        methods.append(method)
+        return get_context(method)
+
+    monkeypatch.setattr("turanmatch.oracle.get_context", context)
+    monkeypatch.setattr("turanmatch.oracle.os.cpu_count", lambda: 2)
+    assert max_over_free(6, 2, 3, jobs=2) == max_over_free(6, 2, 3)
+    assert methods == ["fork"]
+
+
 def test_max_over_free_bip_matches_full_mask_reference(monkeypatch):
     pool = _inline_pool(monkeypatch)
     for nx in range(13):
@@ -361,7 +409,7 @@ def test_max_over_free_bip_matches_full_mask_reference(monkeypatch):
 
 def test_jobs_clamped_to_cores_and_tasks(monkeypatch):
     pool = _inline_pool(monkeypatch, cores=3)
-    assert max_over_free(5, 2, 2, jobs=8) == max_over_free(5, 2, 2)  # 16 prefix tasks
+    assert max_over_free(5, 2, 2, jobs=8) == max_over_free(5, 2, 2)  # 64 prefix graphs
     monkeypatch.setattr("turanmatch.oracle.os.cpu_count", lambda: 16)
     assert max_over_free_bip(1, 2, 1, 1, 1, jobs=8) == max_over_free_bip(1, 2, 1, 1, 1)  # 4 tasks
     monkeypatch.setattr("turanmatch.oracle.os.cpu_count", lambda: None)
