@@ -22,13 +22,17 @@ one ``grow`` mask per parent: the vertices b whose removal leaves a matching
 of the parent's size, so that a back-row raises the matching number exactly
 when it meets ``grow``.  The pattern count is carried down, each back-row
 adding the copies through v, so no leaf is recounted, and the last vertex's
-back-rows are scored in a flat loop.  The bipartite scan scores one member
-per orbit of X-row permutations, the nonincreasing row tuple, which is the
-orbit's smallest mask and shares its matching number and biclique count.
-Witness ties break on the smallest edge mask under the canonical
-lexicographic slot order, whatever order the graphs are visited in: the
-vertex scan maps each back-row to its edge mask in that order, so merges
-are order independent and the witnesses those of an edge-slot scan.
+back-rows are scored in a flat loop.  Copies never fall when edges are
+added, so that loop runs only for a parent whose widest allowed back-row,
+scored first as one chain of edge gains, can beat the best so far or tie it
+with a smaller mask; the chain over every lower vertex comes before the
+matching test, which only the parents it keeps pay for.  The bipartite scan
+scores one member per orbit of X-row permutations, the nonincreasing row
+tuple, which is the orbit's smallest mask and shares its matching number and
+biclique count.  Witness ties break on the smallest edge mask under the
+canonical lexicographic slot order, whatever order the graphs are visited
+in: the vertex scan maps each back-row to its edge mask in that order, so
+merges are order independent and the witnesses those of an edge-slot scan.
 """
 
 from __future__ import annotations
@@ -173,9 +177,16 @@ def _scan_free_max(n, k, s, t, prefix):
     The parent's ``grow`` mask holds each b whose removal leaves a matching
     of the parent's size nu: a back-row raises the matching number to nu + 1
     exactly when it meets ``grow``, so at nu = k only subsets of the other
-    vertices are visited.  A graph's mask is the OR of ``_back_masks``
-    entries along its path, which is its edge mask in the lexicographic slot
-    order, so the smallest-mask witness is the one the edge-slot order gives.
+    vertices are visited.  At the last vertex a parent is first bounded:
+    copies never fall when edges are added, so its widest allowed back-row
+    has the most, and a back-row only adds bits to the parent's mask; the
+    parent is skipped when that count is below the best, or equal to it with
+    a mask no smaller than the best's.  The bound runs on all lower vertices
+    before ``grow`` is built, and again on the rows avoiding it; only
+    survivors score their full table.  A graph's mask is the OR of
+    ``_back_masks`` entries along its path, which is its edge mask in the
+    lexicographic slot order, so the smallest-mask witness is the one the
+    edge-slot order gives.
     """
     nu = _nu(prefix)
     if nu > k:
@@ -191,15 +202,33 @@ def _scan_free_max(n, k, s, t, prefix):
     best_value = value if len(prefix) == n else -1
     best_mask = mask
 
+    def beaten(adj: list[int], allowed: int, value: int, mask: int) -> bool:
+        """Whether no back-row inside ``allowed`` can beat the best so far:
+        the widest one has the largest count, and every one keeps the bits
+        of ``mask``, so none ties with a smaller mask if mask >= best_mask."""
+        top = base
+        rest = 0
+        while allowed:
+            low = allowed & -allowed
+            top += gain(adj, adj[low.bit_length() - 1], rest, s, t)
+            rest |= low
+            allowed ^= low
+        return value + top < best_value or (value + top == best_value and mask >= best_mask)
+
     def rec(adj: list[int], nu: int, value: int, mask: int) -> None:
         nonlocal best_value, best_mask
         v = len(adj)
         below = (1 << v) - 1
+        last = v == n - 1
+        if last and beaten(adj, below, value, mask):
+            return
         grow = 0
         if k < min(nu + n - v, n // 2):  # else no completion exceeds k
             for b in range(v):
                 if _exists_matching(adj, below ^ (1 << b), nu):
                     grow |= 1 << b
+            if last and grow and beaten(adj, below & ~grow, value, mask):
+                return
         if nu == k and grow:  # the back-rows avoiding grow, ascending
             allowed = below & ~grow
             backs = [0]
@@ -214,13 +243,12 @@ def _scan_free_max(n, k, s, t, prefix):
         for j, rest, w in steps:
             append(vals[j] + gain(adj, adj[w], rest, s, t))
         table = canon[v]
-        if v == n - 1:
-            top = max(vals)
-            if value + top >= best_value:
-                low = min(table[b] for b, x in zip(backs, vals) if x == top)
-                if value + top > best_value or mask | low < best_mask:
-                    best_value = value + top
-                    best_mask = mask | low
+        if last:
+            top = max(vals)  # the bound let this parent through: value + top >= best_value
+            low = min(table[b] for b, x in zip(backs, vals) if x == top)
+            if value + top > best_value or mask | low < best_mask:
+                best_value = value + top
+                best_mask = mask | low
             return
         bit = 1 << v
         for back, extra in zip(backs, vals):

@@ -171,3 +171,29 @@ def test_back_row_increments_sum_to_the_last_vertex_copies(g, data):
             total += _clique_gain(rows, rows[w], rest, s, t)
             rest |= 1 << w
     assert total == _clique_top_sum(g.adj, g.n, s, t) - _clique_top_sum(rows, v, s, t)
+
+
+@given(graphs(min_n=1, max_n=7), st.data())
+def test_widest_back_row_has_the_most_copies(g, data):
+    # the premise of the exhaustive scan's last-vertex bound: copies never
+    # fall when an edge is added, so over the back-rows inside ``allowed`` the
+    # chain along the widest one reaches the maximum of the whole table
+    s = data.draw(st.integers(1, 5))
+    t = data.draw(st.integers(0, 4))
+    allowed = data.draw(st.integers(0, (1 << g.n) - 1))
+    rows = g.adj
+    table = {0: _clique_sum(rows, 0, 0, s - 1, t)}
+    for back in range(1, allowed + 1):
+        if back & ~allowed:
+            continue
+        low = back & -back
+        gain = _clique_gain(rows, rows[low.bit_length() - 1], back ^ low, s, t)
+        assert gain >= 0
+        table[back] = table[back ^ low] + gain
+    top = table[0]
+    rest = 0
+    for w in range(g.n):
+        if allowed >> w & 1:
+            top += _clique_gain(rows, rows[w], rest, s, t)
+            rest |= 1 << w
+    assert top == max(table.values())

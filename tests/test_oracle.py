@@ -26,6 +26,7 @@ from turanmatch import (
     matching_number,
     max_over_free,
     max_over_free_bip,
+    oracle,
     verify_bondy_chvatal,
     verify_koenig_gstar,
     verify_shift_lemmas,
@@ -216,7 +217,7 @@ def test_clique_agreement_full_grid_small_hosts():
 
 def test_clique_agreement_seven_vertices():
     for k in range(4):
-        jobs = 4 if k == 3 else 1  # k=3 admits no pruning: 2^21 leaves
+        jobs = 4 if k == 3 else 1  # k=3: no matching pruning, the bound on the last vertex only
         for s in (2, 3, 4):
             assert max_over_free(7, k, s, jobs=jobs).value == ex_clique(7, k, s), (k, s)
 
@@ -376,6 +377,31 @@ def test_vertex_scan_tests_matchings_once_per_parent_vertex(monkeypatch):
     monkeypatch.setattr("turanmatch.oracle._exists_matching", counted)
     max_over_free(7, 2, 2)
     assert calls < 60_000  # 122,293 tests for the edge-slot scan, one per added edge
+
+
+def _counted(monkeypatch, name):
+    """Wrap ``turanmatch.oracle.<name>``; the returned list holds the call count."""
+    calls = [0]
+    inner = getattr(oracle, name)
+
+    def counted(*args):
+        calls[0] += 1
+        return inner(*args)
+
+    monkeypatch.setattr(oracle, name, counted)
+    return calls
+
+
+def test_last_vertex_bound_skips_most_leaf_tables(monkeypatch):
+    calls = _counted(monkeypatch, "_clique_gain")
+    assert max_over_free(6, 5, 2).value == 15
+    assert calls[0] < 12_000  # 32,767 when every parent builds its 2^5 table
+
+
+def test_last_vertex_bound_comes_before_the_matching_tests(monkeypatch):
+    calls = _counted(monkeypatch, "_exists_matching")
+    assert max_over_free(7, 2, 2, 2).value == 30
+    assert calls[0] < 20_000  # 51,918 when every last-level parent builds its grow mask
 
 
 def test_max_over_free_real_worker_pool(monkeypatch):
