@@ -1,5 +1,11 @@
 """Exact subgraph-copy counters for cliques, clique-star patterns, and bipartite bicliques.
 
+Every pattern is counted by one kernel, ``_clique_sum``: over the s-cliques K
+of a candidate set, the sum of C(|common & N(K)|, t).  Cliques and clique-stars
+read it on the host itself.  A biclique K_{s,t} reads it on the host with X
+made complete: an s-"clique" of X is then any s-subset of X, and its common
+neighborhood is taken in Y.
+
 All counts are of subgraph copies, not induced copies: the independent side of
 a pattern may carry extra host edges.  Counts are plain Python integers, so
 they never overflow.
@@ -27,7 +33,7 @@ class StarCliquePair(NamedTuple):
 
 def _clique_sum(adj, cand: int, common: int, s: int, t: int) -> int:
     """Sum of C(|common & N(K)|, t) over the s-cliques K inside ``cand``,
-    where N(K) is K's common neighborhood; ``cand`` must lie in ``common``.
+    where N(K) is K's common neighborhood.
 
     Cliques grow by ascending vertex index, each step intersecting the
     candidate and common masks with the new vertex's adjacency row.
@@ -42,22 +48,22 @@ def _clique_sum(adj, cand: int, common: int, s: int, t: int) -> int:
             break
         b = cand & -cand
         cand ^= b
-        nc = common & adj[b.bit_length() - 1]
+        row = adj[b.bit_length() - 1]
         if s == 1:
-            total += comb(nc.bit_count(), t)
+            total += comb((common & row).bit_count(), t)
         else:
-            total += _clique_sum(adj, nc & cand, nc, s - 1, t)
+            total += _clique_sum(adj, cand & row, common & row, s - 1, t)
     return total
 
 
-def _clique_top_sum(adj, n: int, s: int, t: int) -> int:
+def _clique_top_sum(adj, s: int, t: int) -> int:
     """Sum of C(|common neighborhood|, t) over all s-cliques.
 
     Cliques are grown by ascending vertex index with adjacency-mask
     intersections; the t-side is closed in O(1) per clique via a binomial of
     the common neighborhood's popcount.
     """
-    full = (1 << n) - 1
+    full = (1 << len(adj)) - 1
     return _clique_sum(adj, full, full, s, t)
 
 
@@ -86,7 +92,7 @@ def count_cliques(g: Graph, s: int) -> int:
     """Number of s-subsets of vertices inducing a clique (0 when s > n)."""
     if s < 0:
         return 0
-    return _clique_top_sum(g.adj, g.n, s, 0)
+    return _clique_top_sum(g.adj, s, 0)
 
 
 def star_pairs(g: Graph, s: int, t: int) -> Iterator[StarCliquePair]:
@@ -134,40 +140,25 @@ def count_star(g: Graph, s: int, t: int) -> int:
     """
     if s < 1 or t < 1:
         raise ValueError(f"need s >= 1 and t >= 1, got s={s}, t={t}")
-    return _clique_top_sum(g.adj, g.n, s, t)
-
-
-def _oriented_bip(rows, ny: int, a: int, b: int) -> int:
-    """Sum of C(|common Y-neighborhood|, b) over a-subsets of X."""
-    if a == 0:
-        return comb(ny, b)
-    nx = len(rows)
-    total = 0
-
-    def rec(start: int, common: int, left: int) -> None:
-        nonlocal total
-        if left == 0:
-            total += comb(common.bit_count(), b)
-            return
-        if not common and b:
-            return
-        for x in range(start, nx - left + 1):
-            rec(x + 1, common & rows[x], left - 1)
-
-    rec(0, (1 << ny) - 1, a)
-    return total
+    return _clique_top_sum(g.adj, s, t)
 
 
 def _bip_sum(rows, ny: int, s: int, t: int) -> int:
     """Complete-bipartite (s, t) copies in the X-rows ``rows`` over ny
     Y-vertices.
 
+    X is made complete and Y shifted above it, so the s-"cliques" of X are
+    its s-subsets and ``_clique_sum`` reads their common neighborhoods in Y.
     For s != t both orientations are summed (an s-set in either part paired
     with a t-set in the other); for s = t a single term avoids double
     counting the same unlabeled copy.
     """
-    total = _oriented_bip(rows, ny, s, t)
-    return total if s == t else total + _oriented_bip(rows, ny, t, s)
+    nx = len(rows)
+    xs = (1 << nx) - 1
+    ys = ((1 << ny) - 1) << nx
+    adj = [row << nx | xs ^ 1 << x for x, row in enumerate(rows)]
+    total = _clique_sum(adj, xs, ys, s, t)
+    return total if s == t else total + _clique_sum(adj, xs, ys, t, s)
 
 
 def count_bip(bg: BipartiteGraph, s: int, t: int) -> int:

@@ -25,14 +25,12 @@ def binom(n: int, r: int) -> int:
 
 @dataclass(frozen=True)
 class ExtremalParams:
-    """Parameter tuple for evaluators and witnesses; unused members stay None."""
+    """Parameters of an oracle witness; unused members stay None."""
 
     n: int
     k: int
     s: int | None = None
     t: int | None = None
-    ell: int | None = None
-    x: int | None = None
 
 
 def _require(cond: bool, msg: str) -> None:

@@ -113,7 +113,7 @@ def matching_number(g: Graph) -> int:
 # Bipartite matching and covers
 # ---------------------------------------------------------------------------
 
-def _bip_nu(rows, nx: int, ny: int, banned_x: int = 0, banned_y: int = 0):
+def _bip_nu(rows, nx: int, ny: int):
     """Kuhn's augmenting paths.  Returns (size, match_y) where match_y[y]
     is the matched X-index or -1."""
     match_y = [-1] * ny
@@ -135,9 +135,7 @@ def _bip_nu(rows, nx: int, ny: int, banned_x: int = 0, banned_y: int = 0):
 
     size = 0
     for x in range(nx):
-        if banned_x >> x & 1:
-            continue
-        visited = banned_y
+        visited = 0
         if augment(x):
             size += 1
     return size, match_y
@@ -149,24 +147,24 @@ def bip_max_matching(bg: BipartiteGraph) -> list[tuple[int, int]]:
     Among all maximum matchings, returns the lexicographically least edge
     sequence under (x, y) order, so output is reproducible.
     """
-    rows = bg.biadj
+    # The rows of passed X-vertices are zeroed and used Y bits cleared.  A
+    # passed vertex left unmatched is unmatched in every maximum matching
+    # that extends ``chosen``, so zeroing its row changes no later test.
+    rows = list(bg.biadj)
     nx, ny = bg.nx, bg.ny
     size, _ = _bip_nu(rows, nx, ny)
     chosen: list[tuple[int, int]] = []
-    used_x = used_y = 0
     for x in range(nx):
         if len(chosen) == size:
             break
-        avail = rows[x] & ~used_y
+        avail, rows[x] = rows[x], 0
         while avail:
             b = avail & -avail
             avail ^= b
-            y = b.bit_length() - 1
-            rest, _ = _bip_nu(rows, nx, ny, used_x | (1 << x), used_y | b)
-            if rest == size - len(chosen) - 1:
-                chosen.append((x + 1, y + 1))
-                used_x |= 1 << x
-                used_y |= b
+            rest = [row & ~b for row in rows]
+            if _bip_nu(rest, nx, ny)[0] == size - len(chosen) - 1:
+                chosen.append((x + 1, b.bit_length()))
+                rows = rest
                 break
     return chosen
 

@@ -197,7 +197,7 @@ def _scan_free_max(n, k, s, t, prefix):
     mask = 0
     for v, row in enumerate(prefix):
         mask |= canon[v][row & ((1 << v) - 1)]
-    value = _clique_top_sum(prefix, len(prefix), s, t)
+    value = _clique_top_sum(prefix, s, t)
     base = _clique_sum(prefix, 0, 0, s - 1, t)  # copies on v alone, before its edges
     best_value = value if len(prefix) == n else -1
     best_mask = mask
@@ -423,9 +423,9 @@ def verify_shift_lemmas(
     laws = [
         ("edges", "edges", lambda a: sum(r.bit_count() for r in a) // 2, operator.ne),
         ("matching", "matching", _nu, operator.lt),
-        *(("cliques", f"{s}-cliques", partial(_clique_top_sum, n=n, s=s, t=0), operator.gt)
+        *(("cliques", f"{s}-cliques", partial(_clique_top_sum, s=s, t=0), operator.gt)
           for s in range(2, max_s + 1)),
-        *(("stars", f"star({s},{t})", partial(_clique_top_sum, n=n, s=s, t=t), operator.gt)
+        *(("stars", f"star({s},{t})", partial(_clique_top_sum, s=s, t=t), operator.gt)
           for s in range(1, max_s + 1) for t in range(1, max_t + 1)),
     ]
     bad: dict[str, list[str]] = {name: [] for name in include}

@@ -21,7 +21,7 @@ from itertools import combinations
 from hypothesis import strategies as st
 
 from turanmatch import BipartiteGraph, Graph
-from turanmatch.counting import _bip_sum, _clique_top_sum, _oriented_bip
+from turanmatch.counting import _bip_sum, _clique_top_sum
 from turanmatch.errors import CapacityError
 from turanmatch.extremal import bip_split_count, bip_split_count_sym
 from turanmatch.matching import _bip_nu, _cover_masks, _exists_matching, _nu
@@ -136,7 +136,7 @@ def ref_scan_free_max(n, k, s, t=None):
 
     def rec(idx, mask, nu):
         if idx == len(slots):
-            value = _clique_top_sum(adj, n, s, tt)
+            value = _clique_top_sum(adj, s, tt)
             if value > best[0] or (value == best[0] and mask < best[1]):
                 best[:] = [value, mask]
             return
@@ -163,9 +163,7 @@ def ref_scan_bip_max(nx, ny, k, s, t):
         rows = [(mask >> (x * ny)) & row_bits for x in range(nx)]
         if _bip_nu(rows, nx, ny)[0] > k:
             continue
-        value = _oriented_bip(rows, ny, s, t)
-        if s != t:
-            value += _oriented_bip(rows, ny, t, s)
+        value = _bip_sum(rows, ny, s, t)
         if value > best_value or (value == best_value and mask < best_mask):
             best_value, best_mask = value, mask
     return best_value, best_mask

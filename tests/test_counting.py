@@ -1,7 +1,9 @@
 import random
+from itertools import combinations
+from math import comb
 
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from helpers import (
@@ -150,7 +152,7 @@ def test_clique_gain_equals_recount_difference(g, data):
     s = data.draw(st.integers(0, 5))
     t = data.draw(st.integers(0, 4))
     h = g.add_edge(u + 1, v + 1)
-    diff = _clique_top_sum(h.adj, g.n, s, t) - _clique_top_sum(g.adj, g.n, s, t)
+    diff = _clique_top_sum(h.adj, s, t) - _clique_top_sum(g.adj, s, t)
     assert _clique_gain(g.adj, g.adj[u], g.adj[v], s, t) == diff
     assert _clique_gain(g.adj, g.adj[v], g.adj[u], s, t) == diff
 
@@ -170,7 +172,7 @@ def test_back_row_increments_sum_to_the_last_vertex_copies(g, data):
         if g.adj[v] >> w & 1:
             total += _clique_gain(rows, rows[w], rest, s, t)
             rest |= 1 << w
-    assert total == _clique_top_sum(g.adj, g.n, s, t) - _clique_top_sum(rows, v, s, t)
+    assert total == _clique_top_sum(g.adj, s, t) - _clique_top_sum(rows, s, t)
 
 
 @given(graphs(min_n=1, max_n=7), st.data())
@@ -197,3 +199,24 @@ def test_widest_back_row_has_the_most_copies(g, data):
             top += _clique_gain(rows, rows[w], rest, s, t)
             rest |= 1 << w
     assert top == max(table.values())
+
+
+@given(graphs(min_n=1, max_n=7), st.integers(0, 127), st.integers(0, 127),
+       st.integers(0, 4), st.integers(0, 3))
+@example(complete_graph(3), 0b011, 0b100, 2, 1)  # K = {1, 2} lies outside common
+def test_clique_sum_reads_common_apart_from_cand(g, cand, common, s, t):
+    # the kernel's contract with ``cand`` and ``common`` unrelated: bicliques
+    # read it with cand = X and common = Y, two disjoint sets
+    full = (1 << g.n) - 1
+    cand &= full
+    common &= full
+    rows = g.adj
+    expected = 0
+    for clique in combinations([v for v in range(g.n) if cand >> v & 1], s):
+        if any(not rows[u] >> v & 1 for u, v in combinations(clique, 2)):
+            continue
+        reach = common
+        for v in clique:
+            reach &= rows[v]
+        expected += comb(reach.bit_count(), t)
+    assert _clique_sum(rows, cand, common, s, t) == expected
