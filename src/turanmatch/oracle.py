@@ -23,16 +23,18 @@ of the parent's size, so that a back-row raises the matching number exactly
 when it meets ``grow``.  The pattern count is carried down, each back-row
 adding the copies through v, so no leaf is recounted, and the last vertex's
 back-rows are scored in a flat loop.  Copies never fall when edges are
-added, so that loop runs only for a parent whose widest allowed back-row,
-scored first as one chain of edge gains, can beat the best so far or tie it
-with a smaller mask; the chain over every lower vertex comes before the
-matching test, which only the parents it keeps pay for.  The bipartite scan
-scores one member per orbit of X-row permutations, the nonincreasing row
-tuple, which is the orbit's smallest mask and shares its matching number and
-biclique count.  Witness ties break on the smallest edge mask under the
-canonical lexicographic slot order, whatever order the graphs are visited
-in: the vertex scan maps each back-row to its edge mask in that order, so
-merges are order independent and the witnesses those of an edge-slot scan.
+added, so a parent's widest completion, v and each later vertex joined to
+all vertices below it, bounds every leaf under it: the subtree is skipped
+unless that count beats the best or ties it with a smaller mask.  The bound
+runs where it is exact, no completion exceeding k, and near the last vertex;
+children go widest back-row first, so a near-best graph sets the best early.
+The bipartite scan scores one member per orbit of X-row permutations, the
+nonincreasing row tuple, which is the orbit's smallest mask and shares its
+matching number and biclique count.  Witness ties break on the smallest
+edge mask under the canonical lexicographic slot order, whatever order the
+graphs are visited in: the vertex scan maps each back-row to its edge mask
+in that order, so merges are order independent and the witnesses those of
+an edge-slot scan.
 """
 
 from __future__ import annotations
@@ -177,16 +179,18 @@ def _scan_free_max(n, k, s, t, prefix):
     The parent's ``grow`` mask holds each b whose removal leaves a matching
     of the parent's size nu: a back-row raises the matching number to nu + 1
     exactly when it meets ``grow``, so at nu = k only subsets of the other
-    vertices are visited.  At the last vertex a parent is first bounded:
-    copies never fall when edges are added, so its widest allowed back-row
-    has the most, and a back-row only adds bits to the parent's mask; the
-    parent is skipped when that count is below the best, or equal to it with
-    a mask no smaller than the best's.  The bound runs on all lower vertices
-    before ``grow`` is built, and again on the rows avoiding it; only
-    survivors score their full table.  A graph's mask is the OR of
-    ``_back_masks`` entries along its path, which is its edge mask in the
-    lexicographic slot order, so the smallest-mask witness is the one the
-    edge-slot order gives.
+    vertices are visited.  A parent is first bounded by its widest
+    completion, v and each later vertex joined to all vertices below it:
+    copies never fall when edges are added, and every leaf below keeps the
+    parent's mask bits, so the subtree is skipped when that count is below
+    the best, or equal to it with a mask no smaller than the best's.  The
+    bound runs where no completion exceeds k, as it is exact there, and else
+    only while fewer than k vertices remain; at the last vertex it runs again
+    on the back-rows avoiding ``grow``, and a survivor reads its widest row's
+    count off it.  Children go widest back-row first, so a near-best graph
+    sets the best early.  A graph's mask is the OR of ``_back_masks`` entries
+    along its path, its edge mask in the lexicographic slot order, so the
+    smallest-mask witness is the edge-slot order's whatever the visit order.
     """
     nu = _nu(prefix)
     if nu > k:
@@ -194,6 +198,7 @@ def _scan_free_max(n, k, s, t, prefix):
     canon = _back_masks(n)
     full_steps = [_steps(range(1 << v)) for v in range(n)]
     gain = _clique_gain  # bound once, looked up per back-row
+    full = (1 << n) - 1
     mask = 0
     for v, row in enumerate(prefix):
         mask |= canon[v][row & ((1 << v) - 1)]
@@ -202,32 +207,40 @@ def _scan_free_max(n, k, s, t, prefix):
     best_value = value if len(prefix) == n else -1
     best_mask = mask
 
-    def beaten(adj: list[int], allowed: int, value: int, mask: int) -> bool:
-        """Whether no back-row inside ``allowed`` can beat the best so far:
-        the widest one has the largest count, and every one keeps the bits
-        of ``mask``, so none ties with a smaller mask if mask >= best_mask."""
-        top = base
-        rest = 0
-        while allowed:
-            low = allowed & -allowed
-            top += gain(adj, adj[low.bit_length() - 1], rest, s, t)
-            rest |= low
-            allowed ^= low
-        return value + top < best_value or (value + top == best_value and mask >= best_mask)
+    def bound(adj: list[int], allowed: int, value: int, mask: int) -> int | None:
+        """The widest completion's count, v = len(adj) taking the back-row
+        ``allowed``, or None when it cannot beat the best so far: one direct
+        count above the last vertex, a chain of edge gains at it."""
+        v = len(adj)
+        if v < n - 1:
+            later = full ^ ((2 << v) - 1)
+            rows = [row | later | (allowed >> u & 1) << v for u, row in enumerate(adj)]
+            rows.append(allowed | later)
+            top = _clique_top_sum(rows + [full ^ 1 << u for u in range(v + 1, n)], s, t)
+        else:
+            top = value + base
+            rest = 0
+            while allowed:
+                low = allowed & -allowed
+                top += gain(adj, adj[low.bit_length() - 1], rest, s, t)
+                rest |= low
+                allowed ^= low
+        return None if top < best_value or (top == best_value and mask >= best_mask) else top
 
     def rec(adj: list[int], nu: int, value: int, mask: int) -> None:
         nonlocal best_value, best_mask
         v = len(adj)
         below = (1 << v) - 1
         last = v == n - 1
-        if last and beaten(adj, below, value, mask):
+        bounded = k < min(nu + n - v, n // 2)  # else no completion exceeds k
+        if (not bounded or n - v < k) and (top := bound(adj, below, value, mask)) is None:
             return
         grow = 0
-        if k < min(nu + n - v, n // 2):  # else no completion exceeds k
+        if bounded:
             for b in range(v):
                 if _exists_matching(adj, below ^ (1 << b), nu):
                     grow |= 1 << b
-            if last and grow and beaten(adj, below & ~grow, value, mask):
+            if last and (top := bound(adj, below & ~grow, value, mask)) is None:
                 return
         if nu == k and grow:  # the back-rows avoiding grow, ascending
             allowed = below & ~grow
@@ -240,18 +253,18 @@ def _scan_free_max(n, k, s, t, prefix):
             steps = full_steps[v]
         vals = [base]
         append = vals.append
-        for j, rest, w in steps:
+        for j, rest, w in steps[:-1] if last else steps:  # the bound scored the widest
             append(vals[j] + gain(adj, adj[w], rest, s, t))
         table = canon[v]
-        if last:
-            top = max(vals)  # the bound let this parent through: value + top >= best_value
-            low = min(table[b] for b, x in zip(backs, vals) if x == top)
-            if value + top > best_value or mask | low < best_mask:
-                best_value = value + top
+        if last:  # top: the widest back-row's count, the most of any
+            low = min((table[b] for b, x in zip(backs, vals) if value + x == top),
+                      default=table[backs[-1]])
+            if top > best_value or mask | low < best_mask:
+                best_value = top
                 best_mask = mask | low
             return
         bit = 1 << v
-        for back, extra in zip(backs, vals):
+        for back, extra in zip(reversed(backs), reversed(vals)):
             child = [row | bit if back >> u & 1 else row for u, row in enumerate(adj)]
             child.append(back)
             rec(child, nu + (1 if back & grow else 0), value + extra, mask | table[back])

@@ -32,6 +32,7 @@ from turanmatch import (
     verify_shift_lemmas,
     verify_shifted_structure,
 )
+from turanmatch.counting import _clique_top_sum
 from turanmatch.matching import _bip_nu, _cover_masks, _exists_matching
 
 
@@ -402,6 +403,31 @@ def test_last_vertex_bound_comes_before_the_matching_tests(monkeypatch):
     calls = _counted(monkeypatch, "_exists_matching")
     assert max_over_free(7, 2, 2, 2).value == 30
     assert calls[0] < 20_000  # 51,918 when every last-level parent builds its grow mask
+
+
+def test_completion_bound_prunes_above_the_last_vertex(monkeypatch):
+    calls = _counted(monkeypatch, "_clique_gain")
+    assert max_over_free(7, 3, 3).value == 35
+    assert calls[0] < 1_000  # 311; 234,982 when only the last vertex is bounded
+
+
+def test_loose_bound_skipped_when_it_cannot_prune(monkeypatch):
+    calls = _counted(monkeypatch, "_clique_gain")
+    assert max_over_free(7, 1, 2).value == 6
+    assert calls[0] < 1_000  # 445; 1,597 with every last vertex bounded before its matching tests
+
+
+def test_unpruned_seven_vertex_scans_find_the_complete_graph(monkeypatch):
+    pool = _inline_pool(monkeypatch)
+    complete = complete_graph(7)
+    patterns = [(s, None) for s in range(2, 8)]
+    patterns += [(s, t) for s in range(1, 7) for t in range(1, 8 - s)]
+    for s, t in patterns:
+        expected = (_clique_top_sum(complete.adj, s, t or 0), complete.edges())
+        for jobs in (1, 2):
+            w = max_over_free(7, 3, s, t, jobs=jobs)
+            assert (w.value, w.graph.edges()) == expected, (s, t, jobs)
+    assert pool.workers
 
 
 def test_max_over_free_real_worker_pool(monkeypatch):
