@@ -8,8 +8,9 @@ count is compared with ``extremal.bip_split_count``, and the shift laws are
 one table of quantities measured once per graph, before its shifts.  A law
 check skips only what cannot change its verdict: the König check fills rows
 from the most significant down and drops a row prefix whose matching number
-already exceeds k, with every completion; the degree closure tests the
-degree sum before the matching test, which only pairs meeting it need.
+already exceeds k, with every completion; the degree closure walks vertex
+rows as the general scan does, carrying the matching number down, and tests
+the degree sum before the matching test, which only pairs meeting it need.
 
 Enumeration prunes a branch as soon as the partial graph's matching number
 exceeds k, which discards only graphs whose every completion is also over
@@ -23,11 +24,15 @@ of the parent's size, so that a back-row raises the matching number exactly
 when it meets ``grow``.  The pattern count is carried down, each back-row
 adding the copies through v, so no leaf is recounted, and the last vertex's
 back-rows are scored in a flat loop.  Copies never fall when edges are
-added, so a parent's widest completion, v and each later vertex joined to
-all vertices below it, bounds every leaf under it: the subtree is skipped
-unless that count beats the best or ties it with a smaller mask.  The bound
-runs where it is exact, no completion exceeding k, and near the last vertex;
-children go widest back-row first, so a near-best graph sets the best early.
+added, so a child's widest completion, each later vertex joined to all
+others, bounds every leaf under it: a parent tabulates that count for all
+its children at once, one direct count and one edge gain per back-row, and
+a child is skipped unless its entry beats the best or ties it with a
+smaller mask.  An entry equal to the child's own count, later vertices left
+isolated, makes that empty completion the subtree's best leaf.  The table
+is built where some child's bound is exact, no completion exceeding k, and
+while at most k vertices follow the children; children go widest back-row
+first, so a near-best graph sets the best early.
 The bipartite scan scores one member per orbit of X-row permutations, the
 nonincreasing row tuple, which is the orbit's smallest mask and shares its
 matching number and biclique count.  Witness ties break on the smallest
@@ -44,7 +49,7 @@ import os
 import random
 from dataclasses import dataclass
 from functools import partial
-from itertools import combinations_with_replacement
+from itertools import combinations, combinations_with_replacement
 from math import comb
 from multiprocessing import get_context
 
@@ -167,6 +172,25 @@ def _steps(backs) -> list[tuple[int, int, int]]:
             for i in range(1, len(backs))]
 
 
+def _completion_counts(adj, n, steps, s, t) -> list[int]:
+    """Pattern counts of the widest completions of the children of the
+    parent rows ``adj``: entry i has v = len(adj) take the back-row
+    backs[i] (``steps`` as ``_steps`` lists it over ``backs``) and every
+    later vertex joined to all others.  One direct count with v joined to
+    the later vertices alone, then one edge gain per back-row."""
+    v = len(adj)
+    full = (1 << n) - 1
+    later = full ^ ((2 << v) - 1)
+    rows = [row | later for row in adj]
+    rows.append(later)
+    rows += [full ^ 1 << z for z in range(v + 1, n)]
+    tops = [_clique_top_sum(rows, s, t)]
+    append = tops.append
+    for j, rest, w in steps:
+        append(tops[j] + _clique_gain(rows, rows[w], rest | later, s, t))
+    return tops
+
+
 def _scan_free_max(n, k, s, t, prefix):
     """Best (value, mask) over free graphs on n vertices whose first
     len(prefix) vertices induce the graph with rows ``prefix``.
@@ -179,17 +203,25 @@ def _scan_free_max(n, k, s, t, prefix):
     The parent's ``grow`` mask holds each b whose removal leaves a matching
     of the parent's size nu: a back-row raises the matching number to nu + 1
     exactly when it meets ``grow``, so at nu = k only subsets of the other
-    vertices are visited.  A parent is first bounded by its widest
-    completion, v and each later vertex joined to all vertices below it:
-    copies never fall when edges are added, and every leaf below keeps the
-    parent's mask bits, so the subtree is skipped when that count is below
-    the best, or equal to it with a mask no smaller than the best's.  The
-    bound runs where no completion exceeds k, as it is exact there, and else
-    only while fewer than k vertices remain; at the last vertex it runs again
-    on the back-rows avoiding ``grow``, and a survivor reads its widest row's
-    count off it.  Children go widest back-row first, so a near-best graph
-    sets the best early.  A graph's mask is the OR of ``_back_masks`` entries
-    along its path, its edge mask in the lexicographic slot order, so the
+    vertices are visited.  Beside ``val`` a parent builds the table of its
+    children's widest completions, v taking B and each later vertex joined
+    to all (``_completion_counts``): copies never fall when edges are added,
+    and every leaf below keeps the child's mask bits, so a child is skipped
+    before its rows are built when that count is below the best, or equal
+    to it with a mask no smaller than the best's.  When it equals the
+    child's own count, later vertices isolated, that empty completion is a
+    best leaf of the subtree with its smallest mask, and it is recorded in
+    the subtree's place.  The table is built where the children with the
+    parent's nu have no completion over k, so that their bound is exact,
+    and while at most k vertices follow the children; elsewhere it prunes
+    few children.  A task's root has no table above it, and it could not
+    prune, the best being unset.  At the last vertex the widest allowed
+    back-row's count is the table entry, or, when ``grow`` narrows the
+    back-rows or no table was built, a chain of edge gains, which also
+    bounds the parent; the flat loop reads the widest row's count off it.
+    Children go widest back-row first, so a near-best graph sets the best
+    early.  A graph's mask is the OR of ``_back_masks`` entries along its
+    path, its edge mask in the lexicographic slot order, so the
     smallest-mask witness is the edge-slot order's whatever the visit order.
     """
     nu = _nu(prefix)
@@ -198,7 +230,6 @@ def _scan_free_max(n, k, s, t, prefix):
     canon = _back_masks(n)
     full_steps = [_steps(range(1 << v)) for v in range(n)]
     gain = _clique_gain  # bound once, looked up per back-row
-    full = (1 << n) - 1
     mask = 0
     for v, row in enumerate(prefix):
         mask |= canon[v][row & ((1 << v) - 1)]
@@ -207,43 +238,30 @@ def _scan_free_max(n, k, s, t, prefix):
     best_value = value if len(prefix) == n else -1
     best_mask = mask
 
-    def bound(adj: list[int], allowed: int, value: int, mask: int) -> int | None:
-        """The widest completion's count, v = len(adj) taking the back-row
-        ``allowed``, or None when it cannot beat the best so far: one direct
-        count above the last vertex, a chain of edge gains at it."""
-        v = len(adj)
-        if v < n - 1:
-            later = full ^ ((2 << v) - 1)
-            rows = [row | later | (allowed >> u & 1) << v for u, row in enumerate(adj)]
-            rows.append(allowed | later)
-            top = _clique_top_sum(rows + [full ^ 1 << u for u in range(v + 1, n)], s, t)
-        else:
-            top = value + base
-            rest = 0
-            while allowed:
-                low = allowed & -allowed
-                top += gain(adj, adj[low.bit_length() - 1], rest, s, t)
-                rest |= low
-                allowed ^= low
-        return None if top < best_value or (top == best_value and mask >= best_mask) else top
-
-    def rec(adj: list[int], nu: int, value: int, mask: int) -> None:
+    def rec(adj: list[int], nu: int, value: int, mask: int, top: int | None) -> None:
         nonlocal best_value, best_mask
         v = len(adj)
         below = (1 << v) - 1
         last = v == n - 1
         bounded = k < min(nu + n - v, n // 2)  # else no completion exceeds k
-        if (not bounded or n - v < k) and (top := bound(adj, below, value, mask)) is None:
-            return
         grow = 0
         if bounded:
             for b in range(v):
                 if _exists_matching(adj, below ^ (1 << b), nu):
                     grow |= 1 << b
-            if last and (top := bound(adj, below & ~grow, value, mask)) is None:
+        allowed = below & ~grow if nu == k else below  # the back-rows keeping nu <= k
+        if last and (allowed != below or top is None):  # else top is the parent's table entry
+            top = value + base  # the widest back-row's count, one gain per edge
+            rest = 0
+            left = allowed
+            while left:
+                low = left & -left
+                top += gain(adj, adj[low.bit_length() - 1], rest, s, t)
+                rest |= low
+                left ^= low
+            if top < best_value or (top == best_value and mask >= best_mask):
                 return
-        if nu == k and grow:  # the back-rows avoiding grow, ascending
-            allowed = below & ~grow
+        if allowed != below:  # its subsets, ascending
             backs = [0]
             while backs[-1] != allowed:
                 backs.append((backs[-1] - allowed) & allowed)
@@ -253,24 +271,36 @@ def _scan_free_max(n, k, s, t, prefix):
             steps = full_steps[v]
         vals = [base]
         append = vals.append
-        for j, rest, w in steps[:-1] if last else steps:  # the bound scored the widest
+        for j, rest, w in steps[:-1] if last else steps:  # top is the widest's count
             append(vals[j] + gain(adj, adj[w], rest, s, t))
         table = canon[v]
-        if last:  # top: the widest back-row's count, the most of any
+        if last:
             low = min((table[b] for b, x in zip(backs, vals) if value + x == top),
                       default=table[backs[-1]])
             if top > best_value or mask | low < best_mask:
                 best_value = top
                 best_mask = mask | low
             return
+        if n - v - 1 <= k or k >= min(nu + n - v - 1, n // 2):  # some child's bound may prune
+            tops = _completion_counts(adj, n, steps, s, t)
+        else:
+            tops = [None] * len(vals)
+        empty = (n - v - 1) * base  # the copies later vertices add when isolated
         bit = 1 << v
-        for back, extra in zip(reversed(backs), reversed(vals)):
+        for back, extra, top in zip(reversed(backs), reversed(vals), reversed(tops)):
+            cmask = mask | table[back]
+            if top is not None:
+                if top < best_value or (top == best_value and cmask >= best_mask):
+                    continue
+                if top == value + extra + empty:  # the empty completion is a best leaf
+                    best_value, best_mask = top, cmask
+                    continue
             child = [row | bit if back >> u & 1 else row for u, row in enumerate(adj)]
             child.append(back)
-            rec(child, nu + (1 if back & grow else 0), value + extra, mask | table[back])
+            rec(child, nu + (1 if back & grow else 0), value + extra, cmask, top)
 
     if len(prefix) < n:
-        rec(list(prefix), nu, value, mask)
+        rec(list(prefix), nu, value, mask, None)
     return best_value, best_mask
 
 
@@ -485,34 +515,83 @@ def verify_bondy_chvatal(n: int) -> list[Check]:
 
     For each instance let k+1 be the matching number after adding the edge;
     if both endpoint degrees sum to at least 2k+1 the matching number must
-    not have grown.  Each graph's non-edge slots are its cases; the degree
-    test comes first, so only pairs that meet it pay for the matching test.
+    not have grown.  Each graph's non-edge slots are its cases.  Graphs are
+    walked by vertex rows, as in ``_scan_free_max``: each vertex v is one
+    DFS level choosing its back-row, and the matching number is carried
+    through one ``grow`` mask per parent, the b whose removal keeps the
+    parent's matching number (a blossom count on the parent less b), so a
+    back-row raises it exactly when it meets ``grow``.  The last vertex's
+    back-rows are scored in a flat loop: a graph's degrees are the parent's
+    plus membership in the back-row, the parent's non-edges are filtered
+    once by the most degree any back-row can add, and only pairs meeting
+    the degree test pay for the matching test.  Violations are reported in
+    ascending edge mask, then slot, order.
     """
     if n > MAX_ORACLE_VERTICES:
         raise CapacityError(f"capped at n <= {MAX_ORACLE_VERTICES}")
     if n < 0:
         raise ValueError(f"need n >= 0, got n={n}")
     slots = _edge_slots(n)
-    every = (1 << len(slots)) - 1
+    slot_of = {pair: i for i, pair in enumerate(slots)}
+    canon = _back_masks(n)
     full = (1 << n) - 1
     cases = 0
-    violations = []
-    for mask in range(every + 1):
-        rows = _rows_from_mask(n, mask, slots)
-        nu = _nu(rows)
-        non_edges = every ^ mask
-        cases += non_edges.bit_count()
-        while non_edges:
-            b = non_edges & -non_edges
-            non_edges ^= b
-            u, v = slots[b.bit_length() - 1]
-            if (rows[u].bit_count() + rows[v].bit_count() >= 2 * nu + 1
-                    and _exists_matching(rows, full ^ (1 << u) ^ (1 << v), nu)):
-                violations.append(
-                    f"G={_edge_text(rows)} uv=({u + 1},{v + 1}) k={nu}: "
-                    f"degrees reach 2k+1 yet adding uv raises the matching number"
-                )
-    return [Check("degree-closure", cases, tuple(violations))]
+    found = []  # (mask, slot, text), sorted at the end
+
+    def report(rows: list[int], u: int, v: int, k: int, mask: int, slot: int) -> None:
+        found.append((mask, slot, f"G={_edge_text(rows)} uv=({u + 1},{v + 1}) k={k}: "
+                                  f"degrees reach 2k+1 yet adding uv raises the matching number"))
+
+    def rec(adj: list[int], nu: int, mask: int) -> None:
+        nonlocal cases
+        v = len(adj)
+        grow = 0
+        for b in range(v):
+            rest = [row & ~(1 << b) for row in adj]
+            rest[b] = 0
+            if _nu(rest) == nu:
+                grow |= 1 << b
+        bit = 1 << v
+
+        def child(back: int) -> list[int]:  # the rows with v taking the back-row
+            rows = [row | bit if back >> u & 1 else row for u, row in enumerate(adj)]
+            rows.append(back)
+            return rows
+
+        if v < n - 1:
+            for back in range(1 << v):
+                rec(child(back), nu + (1 if back & grow else 0), mask | canon[v][back])
+            return
+        deg = [row.bit_count() for row in adj]
+        least = 2 * nu + 1  # the degree sum every leaf needs, at the parent's matching number
+        pairs = [(u, w, deg[u] + deg[w], slot_of[u, w], full ^ (1 << u) ^ (1 << w))
+                 for u, w in combinations(range(v), 2)
+                 if not adj[u] >> w & 1 and deg[u] + deg[w] + 2 >= least]
+        ends = [(u, v, deg[u], slot_of[u, v], full ^ (1 << u) ^ bit)
+                for u in range(v) if deg[u] + v - 1 >= least]
+        non_edges = comb(v, 2) - sum(deg) // 2
+        cases += (non_edges << v) + (v << v >> 1)  # plus v - |B| to the last vertex, over all B
+
+        for back in range(1 << v):
+            knu = nu + (1 if back & grow else 0)
+            need = 2 * knu + 1
+            size = back.bit_count()
+            rows = None
+            for u, w, d, slot, free in pairs:
+                if d + (back >> u & 1) + (back >> w & 1) >= need:
+                    rows = rows or child(back)
+                    if _exists_matching(rows, free, knu):
+                        report(rows, u, w, knu, mask | canon[v][back], slot)
+            for u, w, d, slot, free in ends:
+                if not back >> u & 1 and d + size >= need:
+                    rows = rows or child(back)
+                    if _exists_matching(rows, free, knu):
+                        report(rows, u, w, knu, mask | canon[v][back], slot)
+
+    if n:
+        rec([], 0, 0)
+    found.sort()
+    return [Check("degree-closure", cases, tuple(text for _, _, text in found))]
 
 
 def verify_koenig_gstar(

@@ -1,12 +1,15 @@
 from multiprocessing import get_context
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from helpers import (
     InlinePool,
     all_graphs,
     bip_from_mask,
     graph_from_mask,
+    graphs,
     ref_scan_bip_max,
     ref_scan_free_max,
     ref_verify_bondy_chvatal,
@@ -415,6 +418,59 @@ def test_loose_bound_skipped_when_it_cannot_prune(monkeypatch):
     calls = _counted(monkeypatch, "_clique_gain")
     assert max_over_free(7, 1, 2).value == 6
     assert calls[0] < 1_000  # 445; 1,597 with every last vertex bounded before its matching tests
+
+
+def test_child_table_cuts_the_last_level_chains(monkeypatch):
+    calls = _counted(monkeypatch, "_clique_gain")
+    assert max_over_free(7, 2, 2).value == 11
+    assert calls[0] <= 25_000  # 21,091; 60,880 with a chain of 6 gains per last-level parent
+
+
+def test_degree_closure_counts_matchings_once_per_parent_vertex(monkeypatch):
+    calls = _counted(monkeypatch, "_nu")
+    (check,) = verify_bondy_chvatal(6)
+    assert (check.cases, check.violations) == (245_760, ())
+    assert calls[0] <= 6_000  # 5,405 = v calls per parent on v < 6 vertices; 32,768 with one per graph
+
+
+def test_verify_bondy_chvatal_matches_reference_under_a_selective_fake(monkeypatch):
+    # unlike an all-True fake, this one answers by the exact rows, free mask
+    # and matching size asked, so a wrong leaf row, pair or k changes the
+    # reported instances
+    _inject(monkeypatch, "_exists_matching", lambda adj, free, r: hash((tuple(adj), free, r)) % 3 == 0)
+    for n in range(7):
+        assert verify_bondy_chvatal(n) == ref_verify_bondy_chvatal(n), n
+    assert len(verify_bondy_chvatal(6)[0].violations) > 1000
+
+
+@given(graphs(min_n=0, max_n=5), st.data())
+def test_completion_table_counts_each_completed_child(g, data):
+    # entry i of the table is the count of the child taking backs[i] with
+    # every later vertex joined to all: the scan's bound on that child
+    v = g.n
+    n = data.draw(st.integers(v + 2, 7))
+    s = data.draw(st.integers(1, 5))
+    t = data.draw(st.integers(0, 3))
+    allowed = data.draw(st.integers(0, (1 << v) - 1))
+    backs = [b for b in range(1 << v) if b & ~allowed == 0]
+    tops = oracle._completion_counts(g.adj, n, oracle._steps(backs), s, t)
+    later = ((1 << n) - 1) ^ ((2 << v) - 1)
+    for back, top in zip(backs, tops, strict=True):
+        rows = [row | later | (back >> u & 1) << v for u, row in enumerate(g.adj)]
+        rows.append(back | later)
+        rows += [((1 << n) - 1) ^ 1 << z for z in range(v + 1, n)]
+        assert top == _clique_top_sum(rows, s, t), (back, s, t)
+
+
+def test_tied_tasks_stop_at_the_empty_completion(monkeypatch):
+    # a jobs = 2 task whose first vertices hold no triangle can reach no
+    # 7-clique: every child's table entry is 0, its own count, so the task
+    # records its first child's empty completion instead of walking ties
+    _inline_pool(monkeypatch)
+    calls = _counted(monkeypatch, "_clique_gain")
+    w = max_over_free(7, 3, 7, jobs=2)
+    assert (w.value, w.graph.edges()) == (1, complete_graph(7).edges())
+    assert calls[0] < 5_000
 
 
 def test_unpruned_seven_vertex_scans_find_the_complete_graph(monkeypatch):
