@@ -198,18 +198,18 @@ _VERIFY = {
     "lemma31": (("n",), None, _degree_closure),
     "lemma32": (("n", "k"), None, lambda a: oracle.verify_shifted_structure(a.n, a.k)),
     "koenig": (("n", "k"), None, lambda a: oracle.verify_koenig_gstar(a.n, a.n, a.k)),
-    "thm11": (("n", "k"), "jobs", _agreement(
+    "thm11": (("n", "k"), None, _agreement(
         "max-edges-vs-formula", lambda a: extremal.ex_edges(a.n, a.k),
-        lambda a: oracle.max_over_free(a.n, a.k, 2, jobs=a.jobs))),
-    "thm12": (("n", "k", "s"), "jobs", _agreement(
+        lambda a: oracle.max_over_free(a.n, a.k, 2))),
+    "thm12": (("n", "k", "s"), None, _agreement(
         "max-cliques-vs-formula", lambda a: extremal.ex_clique(a.n, a.k, a.s),
-        lambda a: oracle.max_over_free(a.n, a.k, a.s, jobs=a.jobs))),
-    "thm13": (("n", "k", "s", "t"), "jobs", _agreement(
+        lambda a: oracle.max_over_free(a.n, a.k, a.s))),
+    "thm13": (("n", "k", "s", "t"), None, _agreement(
         "max-stars-vs-formula", lambda a: extremal.ex_star(a.n, a.k, a.s, a.t),
-        lambda a: oracle.max_over_free(a.n, a.k, a.s, a.t, jobs=a.jobs))),
-    "thm14": (("n", "k", "s", "t"), "jobs", _agreement(
+        lambda a: oracle.max_over_free(a.n, a.k, a.s, a.t))),
+    "thm14": (("n", "k", "s", "t"), None, _agreement(
         "max-bicliques-vs-formula", lambda a: extremal.ex_bip(a.n, a.k, a.s, a.t),
-        lambda a: oracle.max_over_free_bip(a.n, a.n, a.k, a.s, a.t, jobs=a.jobs))),
+        lambda a: oracle.max_over_free_bip(a.n, a.n, a.k, a.s, a.t))),
 }
 
 
@@ -220,8 +220,6 @@ def _cmd_verify(args) -> int:
         return _fail(error)
     if args.samples is not None and optional != "samples":
         return _fail(f"verify {args.check} does not take --samples")
-    if args.jobs != 1 and optional != "jobs":
-        return _fail(f"verify {args.check} does not take --jobs")
     if args.samples is None and (args.prob is not None or args.seed is not None):
         return _fail("--prob and --seed need --samples")
     checks = runner(args)
@@ -302,7 +300,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--seed", type=int, help="random-mode seed (default 0)")
     p.add_argument("--samples", type=int, help="random instances instead of exhaustion")
     p.add_argument("--prob", type=float, help="edge probability for random mode (default 0.5)")
-    p.add_argument("--jobs", type=int, default=1, help="worker processes for oracle scans")
     p.add_argument("--csv", action="store_true", help="machine-readable one-line-per-check output")
     p.set_defaults(func=_cmd_verify)
 

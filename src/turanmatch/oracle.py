@@ -15,9 +15,8 @@ the degree sum before the matching test, which only pairs meeting it need.
 Enumeration prunes a branch as soon as the partial graph's matching number
 exceeds k, which discards only graphs whose every completion is also over
 the bound; when no completion can exceed k the feasibility test is skipped.
-The general scan walks vertex rows: a task fixes the graph on the first few
-vertices and measures it directly, then each later vertex v is one DFS
-level choosing v's back-row, its neighbours below v.  Since nu <= k is
+The general scan walks vertex rows from the empty graph: each vertex v is
+one DFS level choosing v's back-row, its neighbours below v.  Since nu <= k is
 hereditary for induced subgraphs, the bound prunes at every vertex, through
 one ``grow`` mask per parent: the vertices b whose removal leaves a matching
 of the parent's size, so that a back-row raises the matching number exactly
@@ -33,25 +32,24 @@ isolated, makes that empty completion the subtree's best leaf.  The table
 is built where some child's bound is exact, no completion exceeding k, and
 while at most k vertices follow the children; children go widest back-row
 first, so a near-best graph sets the best early.
-The bipartite scan scores one member per orbit of X-row permutations, the
-nonincreasing row tuple, which is the orbit's smallest mask and shares its
-matching number and biclique count.  Witness ties break on the smallest
+The bipartite scan scores one member per orbit of X-row permutations, an
+ascending tuple of rows read from the most significant down, which is the
+orbit's smallest mask and shares its matching number and biclique count;
+the tuples arrive in mask order.  Witness ties break on the smallest
 edge mask under the canonical lexicographic slot order, whatever order the
 graphs are visited in: the vertex scan maps each back-row to its edge mask
-in that order, so merges are order independent and the witnesses those of
-an edge-slot scan.
+in that order, so the witnesses are those of an edge-slot scan.  Each scan
+runs once, in this process.
 """
 
 from __future__ import annotations
 
 import operator
-import os
 import random
 from dataclasses import dataclass
 from functools import partial
 from itertools import combinations, combinations_with_replacement
 from math import comb
-from multiprocessing import get_context
 
 from .counting import _bip_sum, _clique_gain, _clique_sum, _clique_top_sum
 from .errors import CapacityError, ParameterRangeError
@@ -191,12 +189,10 @@ def _completion_counts(adj, n, steps, s, t) -> list[int]:
     return tops
 
 
-def _scan_free_max(n, k, s, t, prefix):
-    """Best (value, mask) over free graphs on n vertices whose first
-    len(prefix) vertices induce the graph with rows ``prefix``.
+def _scan_free_max(n, k, s, t):
+    """Best (value, mask) over free graphs on n vertices.
 
-    The prefix is measured once, its matching number and its pattern count.
-    Each later vertex v is one DFS level that picks v's back-row B, the
+    Each vertex v is one DFS level that picks v's back-row B, the
     neighbours of v below it.  Over the back-rows of one parent the count
     grows as val[B] = val[B - w] + (copies through the edge vw), read off
     the parent graph; the last vertex's back-rows are scored in a flat loop.
@@ -214,7 +210,7 @@ def _scan_free_max(n, k, s, t, prefix):
     the subtree's place.  The table is built where the children with the
     parent's nu have no completion over k, so that their bound is exact,
     and while at most k vertices follow the children; elsewhere it prunes
-    few children.  A task's root has no table above it, and it could not
+    few children.  The empty root has no table above it, and it could not
     prune, the best being unset.  At the last vertex the widest allowed
     back-row's count is the table entry, or, when ``grow`` narrows the
     back-rows or no table was built, a chain of edge gains, which also
@@ -224,19 +220,14 @@ def _scan_free_max(n, k, s, t, prefix):
     path, its edge mask in the lexicographic slot order, so the
     smallest-mask witness is the edge-slot order's whatever the visit order.
     """
-    nu = _nu(prefix)
-    if nu > k:
-        return None
+    if not n:
+        return 0, 0
     canon = _back_masks(n)
     full_steps = [_steps(range(1 << v)) for v in range(n)]
     gain = _clique_gain  # bound once, looked up per back-row
-    mask = 0
-    for v, row in enumerate(prefix):
-        mask |= canon[v][row & ((1 << v) - 1)]
-    value = _clique_top_sum(prefix, s, t)
-    base = _clique_sum(prefix, 0, 0, s - 1, t)  # copies on v alone, before its edges
-    best_value = value if len(prefix) == n else -1
-    best_mask = mask
+    base = _clique_sum([], 0, 0, s - 1, t)  # copies on v alone, before its edges
+    best_value = -1
+    best_mask = 0
 
     def rec(adj: list[int], nu: int, value: int, mask: int, top: int | None) -> None:
         nonlocal best_value, best_mask
@@ -299,102 +290,51 @@ def _scan_free_max(n, k, s, t, prefix):
             child.append(back)
             rec(child, nu + (1 if back & grow else 0), value + extra, cmask, top)
 
-    if len(prefix) < n:
-        rec(list(prefix), nu, value, mask, None)
+    rec([], 0, 0, 0, None)
     return best_value, best_mask
 
 
-def _merge_best(results):
-    best = None
-    for r in results:
-        if r is None:
-            continue
-        if best is None or r[0] > best[0] or (r[0] == best[0] and r[1] < best[1]):
-            best = r
-    return best
-
-
-def _run_tasks(scan, tasks, jobs: int):
-    """Run ``scan`` over the task tuples on min(jobs, tasks) worker
-    processes; a single worker runs in this process."""
-    workers = min(jobs, len(tasks))
-    if workers == 1:
-        return [scan(*task) for task in tasks]
-    with get_context("fork").Pool(workers) as pool:
-        return pool.starmap(scan, tasks)
-
-
-def max_over_free(n: int, k: int, s: int, t: int | None = None, jobs: int = 1) -> Witness:
+def max_over_free(n: int, k: int, s: int, t: int | None = None) -> Witness:
     """Exact maximum of a pattern count over all n-vertex graphs with
     matching number <= k, plus a witness graph.
 
     ``t is None`` counts s-cliques; otherwise (s-clique joined to t-set)
-    pairs.  ``jobs`` splits the scan by the graph on the first few vertices
-    across worker processes (at most one per core); the merged result is
-    identical for any job count.
+    pairs.  The witness is the graph with the smallest edge mask among the
+    maxima.
     """
     if n > MAX_ORACLE_VERTICES:
         raise CapacityError(f"exhaustive search capped at n <= {MAX_ORACLE_VERTICES}")
-    if n < 0 or k < 0 or s < 1 or (t is not None and t < 1) or jobs < 1:
-        raise ValueError(f"bad arguments n={n}, k={k}, s={s}, t={t}, jobs={jobs}")
-    tt = 0 if t is None else t
-    jobs = min(jobs, os.cpu_count() or 1)  # never more workers than cores
-    p = 0  # one task per graph on the first p vertices, at least 4 per worker
-    while jobs > 1 and p < n and 1 << comb(p, 2) < 4 * jobs:
-        p += 1
-    slots = _edge_slots(p)
-    tasks = [(n, k, s, tt, tuple(_rows_from_mask(p, pm, slots))) for pm in range(1 << len(slots))]
-    value, mask = _merge_best(_run_tasks(_scan_free_max, tasks, jobs))
+    if n < 0 or k < 0 or s < 1 or (t is not None and t < 1):
+        raise ValueError(f"bad arguments n={n}, k={k}, s={s}, t={t}")
+    value, mask = _scan_free_max(n, k, s, 0 if t is None else t)
     graph = Graph(n, _rows_from_mask(n, mask, _edge_slots(n)))
     return Witness(graph, value, ExtremalParams(n=n, k=k, s=s, t=t))
 
 
-def _scan_bip_max(nx, ny, k, s, t, firsts):
-    """Best (value, rows[::-1]) over row tuples with rows[0] in ``firsts``
-    and rows[0] >= rows[1] >= ... >= rows[nx-1], and nu <= k.
-
-    Row nx-1 is the most significant in the mask, so each tuple is the
-    smallest mask among its row permutations; the matching number and the
-    biclique count do not change under them.  Scoring only these tuples
-    therefore keeps both the maximum and its smallest-mask witness, and the
-    reversed tuple, most significant row first, orders as the mask does.
-    """
-    best_value = -1
-    best_key = ()
-    bounded = k < min(nx, ny)  # otherwise no graph exceeds the bound
-    if nx:
-        candidates = ((first, *tail[::-1]) for first in firsts
-                      for tail in combinations_with_replacement(range(first + 1), nx - 1))
-    else:
-        candidates = [()]
-    for rows in candidates:
-        if bounded and _bip_nu(rows, nx, ny)[0] > k:
-            continue
-        value = _bip_sum(rows, ny, s, t)
-        if value > best_value or (value == best_value and rows[::-1] < best_key):
-            best_value = value
-            best_key = rows[::-1]
-    return (best_value, best_key) if best_value >= 0 else None
-
-
-def max_over_free_bip(nx: int, ny: int, k: int, s: int, t: int, jobs: int = 1) -> Witness:
+def max_over_free_bip(nx: int, ny: int, k: int, s: int, t: int) -> Witness:
     """Exact maximum of the (s, t)-biclique count over bipartite graphs with
     parts of sizes nx, ny and matching number <= k, plus a witness.
 
-    ``jobs`` splits the scan by the value of the first row across worker
-    processes (at most one per core); the merged result is identical for
-    any job count.
+    One ascending tuple is scored per orbit of row permutations, whose
+    matching number and biclique count do not change under them.  Read as
+    rows nx-1 down to 0, most significant in the mask first, a tuple is its
+    orbit's smallest mask, and the tuples arrive in mask order, so the first
+    strict maximum is the smallest-mask witness.
     """
     if nx * ny > MAX_ORACLE_BIP_SLOTS:
         raise CapacityError(f"exhaustive bipartite search capped at nx*ny <= {MAX_ORACLE_BIP_SLOTS}")
-    if nx < 0 or ny < 0 or k < 0 or s < 1 or t < 1 or jobs < 1:
-        raise ValueError(f"bad arguments nx={nx}, ny={ny}, k={k}, s={s}, t={t}, jobs={jobs}")
-    jobs = min(jobs, os.cpu_count() or 1)  # never more workers than cores
-    top = (1 << ny) if nx else 1
-    stride = min(4 * jobs, top) if jobs > 1 else 1  # interleaved: big rows[0] cost most
-    tasks = [(nx, ny, k, s, t, range(i, top, stride)) for i in range(stride)]
-    value, key = _merge_best(_run_tasks(_scan_bip_max, tasks, jobs))
-    return Witness(BipartiteGraph(nx, ny, key[::-1]), value, ExtremalParams(n=nx, k=k, s=s, t=t))
+    if nx < 0 or ny < 0 or k < 0 or s < 1 or t < 1:
+        raise ValueError(f"bad arguments nx={nx}, ny={ny}, k={k}, s={s}, t={t}")
+    best_value = -1
+    bounded = k < min(nx, ny)  # otherwise no graph exceeds the bound
+    for rows in combinations_with_replacement(range(1 << ny), nx):
+        if bounded and _bip_nu(rows, nx, ny)[0] > k:
+            continue
+        value = _bip_sum(rows, ny, s, t)
+        if value > best_value:
+            best_value, best_rows = value, rows
+    return Witness(BipartiteGraph(nx, ny, best_rows[::-1]), best_value,
+                   ExtremalParams(n=nx, k=k, s=s, t=t))
 
 
 # ---------------------------------------------------------------------------

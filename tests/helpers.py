@@ -252,23 +252,3 @@ def ref_verify_koenig_gstar(nx, ny, k, pairs=((1, 1), (1, 2), (2, 2))):
         Check("gstar-formula", cases, tuple(formula_bad)),
     ]
 
-
-class InlinePool:
-    """Stand-in for ``get_context(...)``: records the requested worker count
-    and runs ``starmap`` in this process, so no process starts."""
-
-    def __init__(self):
-        self.workers = []
-
-    def Pool(self, workers):
-        self.workers.append(workers)
-        return self
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def starmap(self, func, tasks):
-        return [func(*task) for task in tasks]

@@ -187,6 +187,10 @@ def test_verify_rejects_flags_it_would_ignore(capsys):
         ("lemma31", "--n", "5", "--jobs", "2"),
         ("lemma32", "--n", "5", "--k", "2", "--jobs", "2"),
         ("koenig", "--n", "3", "--k", "1", "--jobs", "2"),
+        ("thm11", "--n", "5", "--k", "1", "--jobs", "2"),
+        ("thm12", "--n", "5", "--k", "2", "--s", "2", "--jobs", "2"),
+        ("thm13", "--n", "5", "--k", "2", "--s", "1", "--t", "2", "--jobs", "2"),
+        ("thm14", "--n", "3", "--k", "1", "--s", "1", "--t", "1", "--jobs", "2"),
         ("lemma21", "--n", "8", "--samples", "-5"),
         ("lemma21", "--n", "8", "--samples", "0"),
         ("lemma31", "--n", "5", "--prob", "0.9", "--seed", "5"),
@@ -241,8 +245,8 @@ def test_verify_failure_exit_code(capsys, monkeypatch):
 
     original = oracle.max_over_free
 
-    def fake(n, k, s, t=None, jobs=1):
-        witness = original(n, k, s, t, jobs)
+    def fake(n, k, s, t=None):
+        witness = original(n, k, s, t)
         return oracle.Witness(witness.graph, witness.value + 1, witness.params)
 
     monkeypatch.setattr("turanmatch.cli.oracle.max_over_free", fake)

@@ -1,11 +1,8 @@
-from multiprocessing import get_context
-
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from helpers import (
-    InlinePool,
     all_graphs,
     bip_from_mask,
     graph_from_mask,
@@ -72,15 +69,6 @@ def test_max_over_free_capacity_and_arguments():
         max_over_free(5, -1, 2)
 
 
-def test_max_over_free_jobs_merge_is_identical():
-    seq = max_over_free(5, 2, 2, jobs=1)
-    par = max_over_free(5, 2, 2, jobs=2)
-    assert (seq.value, seq.graph) == (par.value, par.graph)
-    seq = max_over_free(6, 1, 1, 2, jobs=1)
-    par = max_over_free(6, 1, 1, 2, jobs=3)
-    assert (seq.value, seq.graph) == (par.value, par.graph)
-
-
 def test_max_over_free_bip_spot_values():
     assert max_over_free_bip(3, 3, 3, 1, 1).value == 9
     assert max_over_free_bip(3, 3, 1, 1, 1).value == ex_bip(3, 1, 1, 1) == 3
@@ -92,9 +80,6 @@ def test_max_over_free_bip_spot_values():
 def test_max_over_free_bip_capacity_and_jobs():
     with pytest.raises(CapacityError):
         max_over_free_bip(5, 5, 2, 1, 1)
-    seq = max_over_free_bip(3, 3, 1, 1, 2, jobs=1)
-    par = max_over_free_bip(3, 3, 1, 1, 2, jobs=2)
-    assert (seq.value, seq.graph) == (par.value, par.graph)
 
 
 def test_verify_shift_lemmas_exhaustive():
@@ -221,9 +206,8 @@ def test_clique_agreement_full_grid_small_hosts():
 
 def test_clique_agreement_seven_vertices():
     for k in range(4):
-        jobs = 4 if k == 3 else 1  # k=3: no matching pruning, the bound on the last vertex only
-        for s in (2, 3, 4):
-            assert max_over_free(7, k, s, jobs=jobs).value == ex_clique(7, k, s), (k, s)
+        for s in (2, 3, 4):  # k=3: no matching pruning, the completion bound only
+            assert max_over_free(7, k, s).value == ex_clique(7, k, s), (k, s)
 
 
 def test_star_agreement_grid():
@@ -336,16 +320,7 @@ def test_verify_koenig_gstar_prunes_row_prefixes(monkeypatch):
     assert calls < 2500  # 1,824 with pruning; every one of the 65,536 graphs without
 
 
-def _inline_pool(monkeypatch, cores=2):
-    """Route the worker pool through InlinePool, on a stated core count."""
-    pool = InlinePool()
-    monkeypatch.setattr("turanmatch.oracle.get_context", lambda method: pool)
-    monkeypatch.setattr("turanmatch.oracle.os.cpu_count", lambda: cores)
-    return pool
-
-
-def test_max_over_free_matches_leaf_recount_reference(monkeypatch):
-    pool = _inline_pool(monkeypatch)
+def test_max_over_free_matches_leaf_recount_reference():
     for n in range(1, 7):
         patterns = [(s, None) for s in range(1, n + 1)]
         patterns += [(s, t) for s in range(1, n) for t in range(1, n - s + 1)]
@@ -353,21 +328,16 @@ def test_max_over_free_matches_leaf_recount_reference(monkeypatch):
             for s, t in patterns:
                 value, mask = ref_scan_free_max(n, k, s, t)
                 expected = (value, graph_from_mask(n, mask).edges())
-                for jobs in (1, 2):
-                    w = max_over_free(n, k, s, t, jobs=jobs)
-                    assert (w.value, w.graph.edges()) == expected, (n, k, s, t, jobs)
-    assert pool.workers  # the jobs = 2 runs went through the prefix split
+                w = max_over_free(n, k, s, t)
+                assert (w.value, w.graph.edges()) == expected, (n, k, s, t)
 
 
-def test_pruned_seven_vertex_scans_match_reference(monkeypatch):
-    pool = _inline_pool(monkeypatch)
+def test_pruned_seven_vertex_scans_match_reference():
     for k, s, t in ((2, 2, None), (2, 3, None), (2, 1, 2), (2, 2, 2), (1, 2, None), (1, 1, 2)):
         value, mask = ref_scan_free_max(7, k, s, t)
         expected = (value, graph_from_mask(7, mask).edges())
-        for jobs in (1, 2):
-            w = max_over_free(7, k, s, t, jobs=jobs)
-            assert (w.value, w.graph.edges()) == expected, (k, s, t, jobs)
-    assert pool.workers
+        w = max_over_free(7, k, s, t)
+        assert (w.value, w.graph.edges()) == expected, (k, s, t)
 
 
 def test_vertex_scan_tests_matchings_once_per_parent_vertex(monkeypatch):
@@ -463,44 +433,30 @@ def test_completion_table_counts_each_completed_child(g, data):
 
 
 def test_tied_tasks_stop_at_the_empty_completion(monkeypatch):
-    # a jobs = 2 task whose first vertices hold no triangle can reach no
-    # 7-clique: every child's table entry is 0, its own count, so the task
-    # records its first child's empty completion instead of walking ties
-    _inline_pool(monkeypatch)
+    # where every completion ties, a child's table entry equals its own
+    # count with later vertices isolated, so the scan records that empty
+    # completion instead of walking the ties below it
     calls = _counted(monkeypatch, "_clique_gain")
-    w = max_over_free(7, 3, 7, jobs=2)
-    assert (w.value, w.graph.edges()) == (1, complete_graph(7).edges())
-    assert calls[0] < 5_000
+    for args, value, limit in (((7, 3, 1), 7, 1_000),     # 0; 8,100 walking the ties
+                               ((7, 2, 4, 3), 0, 2_700),  # 2,043; 3,408
+                               ((7, 2, 1), 7, 2_700)):    # 1,983; 3,354
+        calls[0] = 0
+        w = max_over_free(*args)
+        assert (w.value, w.graph.edges()) == (value, []), args
+        assert calls[0] < limit, (args, calls[0])
 
 
-def test_unpruned_seven_vertex_scans_find_the_complete_graph(monkeypatch):
-    pool = _inline_pool(monkeypatch)
+def test_unpruned_seven_vertex_scans_find_the_complete_graph():
     complete = complete_graph(7)
     patterns = [(s, None) for s in range(2, 8)]
     patterns += [(s, t) for s in range(1, 7) for t in range(1, 8 - s)]
     for s, t in patterns:
         expected = (_clique_top_sum(complete.adj, s, t or 0), complete.edges())
-        for jobs in (1, 2):
-            w = max_over_free(7, 3, s, t, jobs=jobs)
-            assert (w.value, w.graph.edges()) == expected, (s, t, jobs)
-    assert pool.workers
+        w = max_over_free(7, 3, s, t)
+        assert (w.value, w.graph.edges()) == expected, (s, t)
 
 
-def test_max_over_free_real_worker_pool(monkeypatch):
-    methods = []
-
-    def context(method):
-        methods.append(method)
-        return get_context(method)
-
-    monkeypatch.setattr("turanmatch.oracle.get_context", context)
-    monkeypatch.setattr("turanmatch.oracle.os.cpu_count", lambda: 2)
-    assert max_over_free(6, 2, 3, jobs=2) == max_over_free(6, 2, 3)
-    assert methods == ["fork"]
-
-
-def test_max_over_free_bip_matches_full_mask_reference(monkeypatch):
-    pool = _inline_pool(monkeypatch)
+def test_max_over_free_bip_matches_full_mask_reference():
     for nx in range(13):
         for ny in range(13):
             if nx * ny > 12:
@@ -509,17 +465,5 @@ def test_max_over_free_bip_matches_full_mask_reference(monkeypatch):
                 for s, t in ((1, 1), (1, 2), (2, 2), (2, 3)):
                     value, mask = ref_scan_bip_max(nx, ny, k, s, t)
                     expected = (value, bip_from_mask(nx, ny, mask).edges())
-                    for jobs in (1, 2):
-                        w = max_over_free_bip(nx, ny, k, s, t, jobs=jobs)
-                        assert (w.value, w.graph.edges()) == expected, (nx, ny, k, s, t, jobs)
-    assert pool.workers
-
-
-def test_jobs_clamped_to_cores_and_tasks(monkeypatch):
-    pool = _inline_pool(monkeypatch, cores=3)
-    assert max_over_free(5, 2, 2, jobs=8) == max_over_free(5, 2, 2)  # 64 prefix graphs
-    monkeypatch.setattr("turanmatch.oracle.os.cpu_count", lambda: 16)
-    assert max_over_free_bip(1, 2, 1, 1, 1, jobs=8) == max_over_free_bip(1, 2, 1, 1, 1)  # 4 tasks
-    monkeypatch.setattr("turanmatch.oracle.os.cpu_count", lambda: None)
-    max_over_free(4, 1, 2, jobs=8)  # one worker: no pool
-    assert pool.workers == [3, 4]
+                    w = max_over_free_bip(nx, ny, k, s, t)
+                    assert (w.value, w.graph.edges()) == expected, (nx, ny, k, s, t)
