@@ -113,31 +113,42 @@ def matching_number(g: Graph) -> int:
 # Bipartite matching and covers
 # ---------------------------------------------------------------------------
 
-def _bip_nu(rows, nx: int, ny: int):
-    """Kuhn's augmenting paths.  Returns (size, match_y) where match_y[y]
-    is the matched X-index or -1."""
-    match_y = [-1] * ny
+def _bip_augment(rows, x: int, match_y) -> bool:
+    """One Kuhn's augmenting-path search from the X-vertex x, whose row is
+    ``rows[x]``, against the matching ``match_y`` (match_y[y] is the X-index
+    matched to y, or -1).  Depth first, lowest Y-vertex first, each Y-vertex
+    tried once; on success the path is flipped in place, so x is matched and
+    the matching grows by one.  If the matching was maximum without x, it is
+    maximum with x either way."""
     visited = 0
-
-    def augment(x: int) -> bool:
-        nonlocal visited
+    path = []  # the (x, y) steps above the current X-vertex, y being x's try
+    while True:
         avail = rows[x] & ~visited
-        while avail:
+        if avail:
             b = avail & -avail
-            avail ^= b
             visited |= b
             y = b.bit_length() - 1
-            if match_y[y] < 0 or augment(match_y[y]):
+            mate = match_y[y]
+            if mate < 0:
                 match_y[y] = x
+                for x, y in path:
+                    match_y[y] = x
                 return True
-            avail &= ~visited
-        return False
+            path.append((x, y))
+            x = mate
+        elif path:
+            x = path.pop()[0]  # back up: the X-vertex before tries its next Y-vertex
+        else:
+            return False
 
+
+def _bip_nu(rows, nx: int, ny: int):
+    """Kuhn's augmenting paths, one search per X-vertex in index order.
+    Returns (size, match_y) where match_y[y] is the matched X-index or -1."""
+    match_y = [-1] * ny
     size = 0
     for x in range(nx):
-        visited = 0
-        if augment(x):
-            size += 1
+        size += _bip_augment(rows, x, match_y)
     return size, match_y
 
 

@@ -7,10 +7,12 @@ instance, reporting any counterexample in full; the saturated König host's
 count is compared with ``extremal.bip_split_count``, and the shift laws are
 one table of quantities measured once per graph, before its shifts.  A law
 check skips only what cannot change its verdict: the König check fills rows
-from the most significant down and drops a row prefix whose matching number
+from the most significant down, carrying a maximum matching down by one
+augmenting search per row, and drops a row prefix whose matching number
 already exceeds k, with every completion; the degree closure walks vertex
-rows as the general scan does, carrying the matching number down, and tests
-the degree sum before the matching test, which only pairs meeting it need.
+rows as the general scan does, carrying the matching number and ``grow``
+down, and tests the degree sum before the matching test, which only pairs
+meeting it need.
 
 Enumeration prunes a branch as soon as the partial graph's matching number
 exceeds k, which discards only graphs whose every completion is also over
@@ -20,18 +22,24 @@ one DFS level choosing v's back-row, its neighbours below v.  Since nu <= k is
 hereditary for induced subgraphs, the bound prunes at every vertex, through
 one ``grow`` mask per parent: the vertices b whose removal leaves a matching
 of the parent's size, so that a back-row raises the matching number exactly
-when it meets ``grow``.  The pattern count is carried down, each back-row
+when it meets ``grow``.  A child that keeps the parent's matching number
+inherits the parent's ``grow`` and the parent itself, so only the other
+vertices are searched.  The pattern count is carried down, each back-row
 adding the copies through v, so no leaf is recounted, and the last vertex's
 back-rows are scored in a flat loop.  Copies never fall when edges are
-added, so a child's widest completion, each later vertex joined to all
-others, bounds every leaf under it: a parent tabulates that count for all
-its children at once, one direct count and one edge gain per back-row, and
-a child is skipped unless its entry beats the best or ties it with a
-smaller mask.  An entry equal to the child's own count, later vertices left
-isolated, makes that empty completion the subtree's best leaf.  The table
-is built where some child's bound is exact, no completion exceeding k, and
-while at most k vertices follow the children; children go widest back-row
-first, so a near-best graph sets the best early.
+added, so a child's widest completion bounds every leaf under it: a parent
+tabulates that count for all its children at once, one direct count and
+one edge gain per back-row, and a child is skipped unless its entry beats
+the best or ties it with a smaller mask.  An entry equal to the child's own
+count, later vertices left isolated, makes that empty completion the
+subtree's best leaf.  Below a parent whose matching number is already k,
+``grow`` only gains vertices, so every later vertex may join only the
+vertices outside the parent's ``grow``, the ones every maximum matching
+covers, and that is the widest completion; elsewhere each later vertex is
+joined to all others, and that table is built where some child's bound is
+exact, no completion exceeding k, or while at most k vertices follow the
+children.  Children go widest back-row first, so a near-best graph sets the
+best early.
 The bipartite scan scores one member per orbit of X-row permutations, an
 ascending tuple of rows read from the most significant down, which is the
 orbit's smallest mask and shares its matching number and biclique count;
@@ -55,7 +63,7 @@ from .counting import _bip_sum, _clique_gain, _clique_sum, _clique_top_sum
 from .errors import CapacityError, ParameterRangeError
 from .extremal import ExtremalParams, bip_split_count, bip_split_count_sym
 from .graph import BipartiteGraph, Graph, _check_vertex_count, extremal_graph
-from .matching import _bip_nu, _cover_masks, _exists_matching, _nu
+from .matching import _bip_augment, _bip_nu, _cover_masks, _exists_matching, _nu
 from .shifting import _shift_adj, shifted_graphs
 
 MAX_ORACLE_VERTICES = 7
@@ -170,22 +178,32 @@ def _steps(backs) -> list[tuple[int, int, int]]:
             for i in range(1, len(backs))]
 
 
-def _completion_counts(adj, n, steps, s, t) -> list[int]:
+def _completion_counts(adj, n, steps, s, t, reach=None) -> list[int]:
     """Pattern counts of the widest completions of the children of the
     parent rows ``adj``: entry i has v = len(adj) take the back-row
-    backs[i] (``steps`` as ``_steps`` lists it over ``backs``) and every
-    later vertex joined to all others.  One direct count with v joined to
-    the later vertices alone, then one edge gain per back-row."""
+    backs[i] (``steps`` as ``_steps`` lists it over ``backs``).  Without
+    ``reach`` every later vertex is joined to all others; with it each
+    later vertex is joined to exactly the vertices of ``reach`` below v,
+    and neither to v nor to another later vertex, the widest completion
+    once the parent's matching number is k (``_scan_free_max``).  One
+    direct count with v's row empty of back-row bits, then one edge gain
+    per back-row."""
     v = len(adj)
     full = (1 << n) - 1
     later = full ^ ((2 << v) - 1)
-    rows = [row | later for row in adj]
-    rows.append(later)
-    rows += [full ^ 1 << z for z in range(v + 1, n)]
+    if reach is None:
+        rows = [row | later for row in adj]
+        rows.append(later)
+        rows += [full ^ 1 << z for z in range(v + 1, n)]
+    else:
+        rows = [row | later if reach >> u & 1 else row for u, row in enumerate(adj)]
+        rows.append(0)
+        rows += [reach] * (n - v - 1)
     tops = [_clique_top_sum(rows, s, t)]
     append = tops.append
+    joined = rows[v]  # v's row apart from its back-row
     for j, rest, w in steps:
-        append(tops[j] + _clique_gain(rows, rows[w], rest | later, s, t))
+        append(tops[j] + _clique_gain(rows, rows[w], rest | joined, s, t))
     return tops
 
 
@@ -199,22 +217,33 @@ def _scan_free_max(n, k, s, t):
     The parent's ``grow`` mask holds each b whose removal leaves a matching
     of the parent's size nu: a back-row raises the matching number to nu + 1
     exactly when it meets ``grow``, so at nu = k only subsets of the other
-    vertices are visited.  Beside ``val`` a parent builds the table of its
-    children's widest completions, v taking B and each later vertex joined
-    to all (``_completion_counts``): copies never fall when edges are added,
-    and every leaf below keeps the child's mask bits, so a child is skipped
-    before its rows are built when that count is below the best, or equal
-    to it with a mask no smaller than the best's.  When it equals the
-    child's own count, later vertices isolated, that empty completion is a
-    best leaf of the subtree with its smallest mask, and it is recorded in
-    the subtree's place.  The table is built where the children with the
-    parent's nu have no completion over k, so that their bound is exact,
-    and while at most k vertices follow the children; elsewhere it prunes
-    few children.  The empty root has no table above it, and it could not
-    prune, the best being unset.  At the last vertex the widest allowed
-    back-row's count is the table entry, or, when ``grow`` narrows the
-    back-rows or no table was built, a chain of edge gains, which also
-    bounds the parent; the flat loop reads the widest row's count off it.
+    vertices are visited.  ``grow`` is passed down as ``known``: a child
+    that keeps nu keeps every b in the parent's ``grow`` (the parent less b
+    has a nu-matching, and the child less b contains it) and v (the child
+    less v is the parent), so only its other vertices pay for a matching
+    search; a child whose nu grew starts afresh.  (Below a parent that skips
+    the searches, its children with its nu skip them too.)  Beside ``val`` a
+    parent builds the table of its children's widest completions
+    (``_completion_counts``): copies never fall when edges are added, and
+    every leaf below keeps the child's mask bits, so a child is skipped
+    before its rows are built when that count is below the best, or equal to
+    it with a mask no smaller than the best's.  When it equals the child's
+    own count, later vertices isolated, that empty completion is a best leaf
+    of the subtree with its smallest mask, and it is recorded in the
+    subtree's place.  At nu = k, when the searches run, every vertex below
+    keeps nu = k, so by inheritance each later vertex may join only
+    ``reach`` = the parent's allowed vertices, never v nor another later
+    vertex, and the table joins it to exactly those.  Elsewhere each later
+    vertex is joined to all others, and that table is built only where the
+    children with the parent's nu have no completion over k, so that their
+    bound is exact, or while at most k vertices follow the children; at
+    other levels it prunes few children.  The empty root has no table above
+    it, and it could not prune, the best being unset.  At the last vertex
+    the widest allowed back-row's count is the table entry when the allowed
+    vertices are the ``reach`` the table joined the last vertex to;
+    otherwise, or when no table was built, it is a chain of edge gains,
+    which also bounds the parent.  The flat loop reads the widest row's
+    count off it.
     Children go widest back-row first, so a near-best graph sets the best
     early.  A graph's mask is the OR of ``_back_masks`` entries along its
     path, its edge mask in the lexicographic slot order, so the
@@ -229,7 +258,8 @@ def _scan_free_max(n, k, s, t):
     best_value = -1
     best_mask = 0
 
-    def rec(adj: list[int], nu: int, value: int, mask: int, top: int | None) -> None:
+    def rec(adj: list[int], nu: int, value: int, mask: int, top: int | None,
+            reach: int | None, known: int) -> None:
         nonlocal best_value, best_mask
         v = len(adj)
         below = (1 << v) - 1
@@ -237,11 +267,15 @@ def _scan_free_max(n, k, s, t):
         bounded = k < min(nu + n - v, n // 2)  # else no completion exceeds k
         grow = 0
         if bounded:
-            for b in range(v):
-                if _exists_matching(adj, below ^ (1 << b), nu):
-                    grow |= 1 << b
+            grow = known  # inherited from the parent, with the parent itself
+            left = below ^ known
+            while left:
+                low = left & -left
+                left ^= low
+                if _exists_matching(adj, below ^ low, nu):
+                    grow |= low
         allowed = below & ~grow if nu == k else below  # the back-rows keeping nu <= k
-        if last and (allowed != below or top is None):  # else top is the parent's table entry
+        if last and allowed != reach:  # else top is the parent's entry for this very row
             top = value + base  # the widest back-row's count, one gain per edge
             rest = 0
             left = allowed
@@ -272,12 +306,17 @@ def _scan_free_max(n, k, s, t):
                 best_value = top
                 best_mask = mask | low
             return
-        if n - v - 1 <= k or k >= min(nu + n - v - 1, n // 2):  # some child's bound may prune
+        bit = 1 << v
+        if bounded and nu == k:  # later vertices may join only the allowed vertices
+            tops = _completion_counts(adj, n, steps, s, t, allowed)
+            reach = allowed
+        elif n - v - 1 <= k or k >= min(nu + n - v - 1, n // 2):  # some child's bound may prune
             tops = _completion_counts(adj, n, steps, s, t)
+            reach = below | bit
         else:
             tops = [None] * len(vals)
+            reach = None
         empty = (n - v - 1) * base  # the copies later vertices add when isolated
-        bit = 1 << v
         for back, extra, top in zip(reversed(backs), reversed(vals), reversed(tops)):
             cmask = mask | table[back]
             if top is not None:
@@ -288,9 +327,12 @@ def _scan_free_max(n, k, s, t):
                     continue
             child = [row | bit if back >> u & 1 else row for u, row in enumerate(adj)]
             child.append(back)
-            rec(child, nu + (1 if back & grow else 0), value + extra, cmask, top)
+            if back & grow:  # nu grows: the child's grow starts afresh
+                rec(child, nu + 1, value + extra, cmask, top, reach, 0)
+            else:
+                rec(child, nu, value + extra, cmask, top, reach, grow | bit)
 
-    rec([], 0, 0, 0, None)
+    rec([], 0, 0, 0, None, None, 0)
     return best_value, best_mask
 
 
@@ -460,7 +502,9 @@ def verify_bondy_chvatal(n: int) -> list[Check]:
     DFS level choosing its back-row, and the matching number is carried
     through one ``grow`` mask per parent, the b whose removal keeps the
     parent's matching number (a blossom count on the parent less b), so a
-    back-row raises it exactly when it meets ``grow``.  The last vertex's
+    back-row raises it exactly when it meets ``grow``.  As in the scan, a
+    child that keeps the matching number inherits the parent's ``grow`` and
+    the parent itself, and counts only its other vertices.  The last vertex's
     back-rows are scored in a flat loop: a graph's degrees are the parent's
     plus membership in the back-row, the parent's non-edges are filtered
     once by the most degree any back-row can add, and only pairs meeting
@@ -482,11 +526,13 @@ def verify_bondy_chvatal(n: int) -> list[Check]:
         found.append((mask, slot, f"G={_edge_text(rows)} uv=({u + 1},{v + 1}) k={k}: "
                                   f"degrees reach 2k+1 yet adding uv raises the matching number"))
 
-    def rec(adj: list[int], nu: int, mask: int) -> None:
+    def rec(adj: list[int], nu: int, mask: int, known: int) -> None:
         nonlocal cases
         v = len(adj)
-        grow = 0
+        grow = known  # inherited from the parent, with the parent itself
         for b in range(v):
+            if known >> b & 1:
+                continue
             rest = [row & ~(1 << b) for row in adj]
             rest[b] = 0
             if _nu(rest) == nu:
@@ -500,7 +546,10 @@ def verify_bondy_chvatal(n: int) -> list[Check]:
 
         if v < n - 1:
             for back in range(1 << v):
-                rec(child(back), nu + (1 if back & grow else 0), mask | canon[v][back])
+                if back & grow:  # nu grows: the child's grow starts afresh
+                    rec(child(back), nu + 1, mask | canon[v][back], 0)
+                else:
+                    rec(child(back), nu, mask | canon[v][back], grow | bit)
             return
         deg = [row.bit_count() for row in adj]
         least = 2 * nu + 1  # the degree sum every leaf needs, at the parent's matching number
@@ -529,7 +578,7 @@ def verify_bondy_chvatal(n: int) -> list[Check]:
                         report(rows, u, w, knu, mask | canon[v][back], slot)
 
     if n:
-        rec([], 0, 0)
+        rec([], 0, 0, 0)
     found.sort()
     return [Check("degree-closure", cases, tuple(text for _, _, text in found))]
 
@@ -547,11 +596,15 @@ def verify_koenig_gstar(
 
     Rows are filled from row nx-1 (the most significant in the mask) down to
     row 0, each row ascending, so graphs arrive in ascending mask order.  A
-    partial graph whose matching number, undecided rows empty, already
-    exceeds k is dropped with every completion: each completion contains it,
-    so none is a case.  Row 0 is never tested as a prefix, since the graph's
-    own matching decides there, and nothing is tested when k >= min(nx, ny).
-    Every surviving graph gets the full check.
+    maximum matching is carried down the fill: each row makes one augmenting
+    search from its X-vertex on a copy of the rows above's matching, which
+    leaves it maximum.  A partial graph whose matching number, undecided
+    rows empty, already exceeds k is dropped with every completion: each
+    completion contains it, so none is a case; nothing is dropped when
+    k >= min(nx, ny).  Every surviving graph gets the full check, its cover
+    read off the carried matching: the alternating-reachability cover is the
+    same for every maximum matching.  Each saturated host is scored once
+    per cover.
     """
     if nx * ny > MAX_ORACLE_BIP_SLOTS:
         raise CapacityError(f"capped at nx*ny <= {MAX_ORACLE_BIP_SLOTS}")
@@ -577,17 +630,19 @@ def verify_koenig_gstar(
     def where(rows) -> str:
         return f"G(X={nx},Y={ny})={BipartiteGraph(nx, ny, rows).edges()}"
 
-    def fill(x: int):  # rows above x are set, rows below it zero
+    def fill(x: int, size: int, match_y):  # rows above x are set, rows below it zero
         for row in range(full_y + 1):
             rows[x] = row
+            matched = match_y[:]
+            grown = size + _bip_augment(rows, x, matched)
             if x == 0:
-                yield
-            elif not bounded or _bip_nu(rows, nx, ny)[0] <= k:
-                yield from fill(x - 1)
+                yield grown, matched
+            elif not bounded or grown <= k:
+                yield from fill(x - 1, grown, matched)
         rows[x] = 0
 
-    for _ in fill(nx - 1) if nx else [None]:  # no rows: the one empty graph
-        size, match_y = _bip_nu(rows, nx, ny)
+    hosts: dict[tuple[int, int], list[int]] = {}  # (xs, ys) -> the host's counts per pair
+    for size, match_y in fill(nx - 1, 0, [-1] * ny) if nx else [(0, [-1] * ny)]:
         if size != k:
             continue
         cases += 1
@@ -603,9 +658,11 @@ def verify_koenig_gstar(
             contain_bad.append(f"{where(rows)}: not contained in its saturated host")
             continue
         x_count = xs.bit_count()
-        for s, t in pairs:
+        host = hosts.get((xs, ys))
+        if host is None:
+            host = hosts[xs, ys] = [_bip_sum(star_rows, ny, s, t) for s, t in pairs]
+        for (s, t), c_star in zip(pairs, host):
             c_g = _bip_sum(rows, ny, s, t)
-            c_star = _bip_sum(star_rows, ny, s, t)
             if c_g > c_star:
                 mono_bad.append(f"{where(rows)} (s,t)=({s},{t}): {c_g} > {c_star}")
             expected = formula[x_count, s, t]

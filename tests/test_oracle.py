@@ -33,7 +33,7 @@ from turanmatch import (
     verify_shifted_structure,
 )
 from turanmatch.counting import _clique_top_sum
-from turanmatch.matching import _bip_nu, _cover_masks, _exists_matching
+from turanmatch.matching import _bip_nu, _cover_masks, _exists_matching, _nu
 
 
 def test_iter_free_graphs_matches_filtered_enumeration():
@@ -430,6 +430,84 @@ def test_completion_table_counts_each_completed_child(g, data):
         rows.append(back | later)
         rows += [((1 << n) - 1) ^ 1 << z for z in range(v + 1, n)]
         assert top == _clique_top_sum(rows, s, t), (back, s, t)
+
+
+def _grow(adj, nu):
+    """The vertices b whose removal leaves a matching of size nu, by blossom."""
+    grow = 0
+    for b in range(len(adj)):
+        rest = [row & ~(1 << b) for row in adj]
+        rest[b] = 0
+        if _nu(rest) == nu:
+            grow |= 1 << b
+    return grow
+
+
+@given(graphs(min_n=0, max_n=6), st.data())
+def test_grow_inherits_the_parents_grow_and_the_new_vertex(g, data):
+    # a child that keeps its parent's matching number keeps every b whose
+    # removal left the parent a maximum matching, and the new vertex v
+    v = g.n
+    nu = _nu(g.adj)
+    grow = _grow(g.adj, nu)
+    back = data.draw(st.integers(0, (1 << v) - 1))
+    child = [row | (back >> u & 1) << v for u, row in enumerate(g.adj)] + [back]
+    child_nu = _nu(child)
+    assert child_nu == nu + (1 if back & grow else 0)
+    if child_nu == nu:
+        assert (grow | 1 << v) & ~_grow(child, nu) == 0
+
+
+@given(graphs(min_n=1, max_n=5), st.data())
+def test_matching_aware_table_bounds_every_leaf_below_a_full_parent(g, data):
+    # below a parent at matching number k every later vertex joins only
+    # C = the vertices whose removal drops the matching number; entry i of
+    # the table counts the child taking backs[i] with each later vertex
+    # joined to exactly C, which bounds every leaf with nu <= k below it
+    v = g.n
+    k = _nu(g.adj)
+    n = data.draw(st.integers(max(v + 2, 2 * k + 2), 7))
+    s = data.draw(st.integers(1, 5))
+    t = data.draw(st.integers(0, 3))
+    reach = ((1 << v) - 1) & ~_grow(g.adj, k)
+    backs = [b for b in range(1 << v) if b & ~reach == 0]
+    tops = oracle._completion_counts(g.adj, n, oracle._steps(backs), s, t, reach)
+    later = ((1 << n) - 1) ^ ((2 << v) - 1)
+    for back, top in zip(backs, tops, strict=True):
+        rows = [row | (later if reach >> u & 1 else 0) | (back >> u & 1) << v
+                for u, row in enumerate(g.adj)]
+        rows.append(back)
+        rows += [reach] * (n - v - 1)
+        assert top == _clique_top_sum(rows, s, t), (back, s, t)
+    i = data.draw(st.integers(0, len(backs) - 1))
+    leaf = [row | (backs[i] >> u & 1) << v for u, row in enumerate(g.adj)] + [backs[i]]
+    for z in range(v + 1, n):  # each later vertex a random back-row keeping nu = k
+        allowed = ((1 << z) - 1) & ~_grow(leaf, k)
+        back = data.draw(st.integers(0, allowed)) & allowed
+        leaf = [row | (back >> u & 1) << z for u, row in enumerate(leaf)] + [back]
+    assert _nu(leaf) == k
+    assert _clique_top_sum(leaf, s, t) <= tops[i], (backs[i], s, t)
+
+
+def test_full_parents_bound_their_subtrees_by_their_matching(monkeypatch):
+    calls = _counted(monkeypatch, "_exists_matching")
+    assert max_over_free(7, 2, 2).value == 11
+    assert calls[0] < 15_000  # 10,527; 31,038 with grow afresh at every node and the loose table
+
+
+def test_koenig_check_carries_its_matching_down_the_rows(monkeypatch):
+    augments = _counted(monkeypatch, "_bip_augment")
+    assert verify_koenig_gstar(4, 4, 1)[0].cases == 104
+    assert augments[0] < 2_500  # 1,824, one per row filled; 69,904 without prefix pruning
+    hosts = _counted(monkeypatch, "_bip_sum")
+    assert verify_koenig_gstar(4, 4, 2)[0].cases == 2912
+    assert hosts[0] <= 9_000  # 8,820; 17,472 scoring each case's host again
+
+
+def test_degree_closure_inherits_the_parents_grow(monkeypatch):
+    calls = _counted(monkeypatch, "_nu")
+    assert verify_bondy_chvatal(6)[0].cases == 245_760
+    assert calls[0] <= 4_800  # 4,528; 5,405 with grow afresh at every node
 
 
 def test_tied_tasks_stop_at_the_empty_completion(monkeypatch):
