@@ -27,19 +27,17 @@ inherits the parent's ``grow`` and the parent itself, so only the other
 vertices are searched.  The pattern count is carried down, each back-row
 adding the copies through v, so no leaf is recounted, and the last vertex's
 back-rows are scored in a flat loop.  Copies never fall when edges are
-added, so a child's widest completion bounds every leaf under it: a parent
-tabulates that count for all its children at once, one direct count and
-one edge gain per back-row, and a child is skipped unless its entry beats
-the best or ties it with a smaller mask.  An entry equal to the child's own
-count, later vertices left isolated, makes that empty completion the
-subtree's best leaf.  Below a parent whose matching number is already k,
-``grow`` only gains vertices, so every later vertex may join only the
-vertices outside the parent's ``grow``, the ones every maximum matching
-covers, and that is the widest completion; elsewhere each later vertex is
-joined to all others, and that table is built where some child's bound is
-exact, no completion exceeding k, or while at most k vertices follow the
-children.  Children go widest back-row first, so a near-best graph sets the
-best early.
+added, so a child's widest completion bounds every leaf under it: each
+parent above the last vertex tabulates that count for all its children at
+once, one direct count and one edge gain per back-row, and a child is
+skipped unless its entry beats the best or ties it with a smaller mask.  An
+entry equal to the child's own count, later vertices left isolated, makes
+that empty completion the subtree's best leaf.  Below a parent whose
+matching number is already k, ``grow`` only gains vertices, so every later
+vertex may join only the vertices outside the parent's ``grow``, the ones
+every maximum matching covers, and that is the widest completion;
+elsewhere each later vertex is joined to all others.  Children go widest
+back-row first, so a near-best graph sets the best early.
 The bipartite scan scores one member per orbit of X-row permutations, an
 ascending tuple of rows read from the most significant down, which is the
 orbit's smallest mask and shares its matching number and biclique count;
@@ -125,10 +123,11 @@ def _edge_text(rows) -> str:
 # ---------------------------------------------------------------------------
 
 def iter_free_graphs(n: int, k: int):
-    """Yield every labeled graph on 1..n with matching number <= k.
+    """An iterator over every labeled graph on 1..n with matching number <= k.
 
     Depth-first over the edge slots; a branch dies as soon as the partial
-    graph already has matching number k+1.
+    graph already has matching number k+1.  The arguments are checked at
+    the call, before the first graph is asked for.
     """
     if n > MAX_ORACLE_VERTICES:
         raise CapacityError(f"exhaustive enumeration capped at n <= {MAX_ORACLE_VERTICES}")
@@ -153,7 +152,7 @@ def iter_free_graphs(n: int, k: int):
             adj[u] &= ~(1 << v)
             adj[v] &= ~(1 << u)
 
-    yield from rec(0, 0)
+    return rec(0, 0)
 
 
 def _back_masks(n: int) -> list[list[int]]:
@@ -213,7 +212,8 @@ def _scan_free_max(n, k, s, t):
     Each vertex v is one DFS level that picks v's back-row B, the
     neighbours of v below it.  Over the back-rows of one parent the count
     grows as val[B] = val[B - w] + (copies through the edge vw), read off
-    the parent graph; the last vertex's back-rows are scored in a flat loop.
+    the parent graph; the last vertex's back-rows are scored in a flat loop,
+    and its widest allowed back-row has the most copies.
     The parent's ``grow`` mask holds each b whose removal leaves a matching
     of the parent's size nu: a back-row raises the matching number to nu + 1
     exactly when it meets ``grow``, so at nu = k only subsets of the other
@@ -222,28 +222,19 @@ def _scan_free_max(n, k, s, t):
     has a nu-matching, and the child less b contains it) and v (the child
     less v is the parent), so only its other vertices pay for a matching
     search; a child whose nu grew starts afresh.  (Below a parent that skips
-    the searches, its children with its nu skip them too.)  Beside ``val`` a
-    parent builds the table of its children's widest completions
-    (``_completion_counts``): copies never fall when edges are added, and
-    every leaf below keeps the child's mask bits, so a child is skipped
-    before its rows are built when that count is below the best, or equal to
-    it with a mask no smaller than the best's.  When it equals the child's
-    own count, later vertices isolated, that empty completion is a best leaf
-    of the subtree with its smallest mask, and it is recorded in the
-    subtree's place.  At nu = k, when the searches run, every vertex below
-    keeps nu = k, so by inheritance each later vertex may join only
-    ``reach`` = the parent's allowed vertices, never v nor another later
-    vertex, and the table joins it to exactly those.  Elsewhere each later
-    vertex is joined to all others, and that table is built only where the
-    children with the parent's nu have no completion over k, so that their
-    bound is exact, or while at most k vertices follow the children; at
-    other levels it prunes few children.  The empty root has no table above
-    it, and it could not prune, the best being unset.  At the last vertex
-    the widest allowed back-row's count is the table entry when the allowed
-    vertices are the ``reach`` the table joined the last vertex to;
-    otherwise, or when no table was built, it is a chain of edge gains,
-    which also bounds the parent.  The flat loop reads the widest row's
-    count off it.
+    the searches, its children with its nu skip them too.)  Beside ``val``
+    each parent above the last vertex builds the table of its children's
+    widest completions (``_completion_counts``): copies never fall when
+    edges are added, and every leaf below keeps the child's mask bits, so a
+    child is skipped before its rows are built when that count is below the
+    best, or equal to it with a mask no smaller than the best's.  When it
+    equals the child's own count, later vertices isolated, that empty
+    completion is a best leaf of the subtree with its smallest mask, and it
+    is recorded in the subtree's place.  At nu = k, which above the last
+    vertex needs k < n // 2 and so the searches, every vertex below keeps
+    nu = k, so by inheritance each later vertex may join only the parent's
+    allowed vertices, never v nor another later vertex, and the table joins
+    it to exactly those; elsewhere each later vertex is joined to all others.
     Children go widest back-row first, so a near-best graph sets the best
     early.  A graph's mask is the OR of ``_back_masks`` entries along its
     path, its edge mask in the lexicographic slot order, so the
@@ -258,12 +249,10 @@ def _scan_free_max(n, k, s, t):
     best_value = -1
     best_mask = 0
 
-    def rec(adj: list[int], nu: int, value: int, mask: int, top: int | None,
-            reach: int | None, known: int) -> None:
+    def rec(adj: list[int], nu: int, value: int, mask: int, known: int) -> None:
         nonlocal best_value, best_mask
         v = len(adj)
         below = (1 << v) - 1
-        last = v == n - 1
         bounded = k < min(nu + n - v, n // 2)  # else no completion exceeds k
         grow = 0
         if bounded:
@@ -275,17 +264,6 @@ def _scan_free_max(n, k, s, t):
                 if _exists_matching(adj, below ^ low, nu):
                     grow |= low
         allowed = below & ~grow if nu == k else below  # the back-rows keeping nu <= k
-        if last and allowed != reach:  # else top is the parent's entry for this very row
-            top = value + base  # the widest back-row's count, one gain per edge
-            rest = 0
-            left = allowed
-            while left:
-                low = left & -left
-                top += gain(adj, adj[low.bit_length() - 1], rest, s, t)
-                rest |= low
-                left ^= low
-            if top < best_value or (top == best_value and mask >= best_mask):
-                return
         if allowed != below:  # its subsets, ascending
             backs = [0]
             while backs[-1] != allowed:
@@ -296,43 +274,34 @@ def _scan_free_max(n, k, s, t):
             steps = full_steps[v]
         vals = [base]
         append = vals.append
-        for j, rest, w in steps[:-1] if last else steps:  # top is the widest's count
+        for j, rest, w in steps:
             append(vals[j] + gain(adj, adj[w], rest, s, t))
         table = canon[v]
-        if last:
-            low = min((table[b] for b, x in zip(backs, vals) if value + x == top),
-                      default=table[backs[-1]])
-            if top > best_value or mask | low < best_mask:
-                best_value = top
-                best_mask = mask | low
+        if v == n - 1:
+            top = value + vals[-1]  # the widest allowed back-row's count
+            if top >= best_value:
+                low = mask | min(table[b] for b, x in zip(backs, vals) if value + x == top)
+                if top > best_value or low < best_mask:
+                    best_value, best_mask = top, low
             return
         bit = 1 << v
-        if bounded and nu == k:  # later vertices may join only the allowed vertices
-            tops = _completion_counts(adj, n, steps, s, t, allowed)
-            reach = allowed
-        elif n - v - 1 <= k or k >= min(nu + n - v - 1, n // 2):  # some child's bound may prune
-            tops = _completion_counts(adj, n, steps, s, t)
-            reach = below | bit
-        else:
-            tops = [None] * len(vals)
-            reach = None
+        tops = _completion_counts(adj, n, steps, s, t, allowed if nu == k else None)
         empty = (n - v - 1) * base  # the copies later vertices add when isolated
         for back, extra, top in zip(reversed(backs), reversed(vals), reversed(tops)):
             cmask = mask | table[back]
-            if top is not None:
-                if top < best_value or (top == best_value and cmask >= best_mask):
-                    continue
-                if top == value + extra + empty:  # the empty completion is a best leaf
-                    best_value, best_mask = top, cmask
-                    continue
+            if top < best_value or (top == best_value and cmask >= best_mask):
+                continue
+            if top == value + extra + empty:  # the empty completion is a best leaf
+                best_value, best_mask = top, cmask
+                continue
             child = [row | bit if back >> u & 1 else row for u, row in enumerate(adj)]
             child.append(back)
             if back & grow:  # nu grows: the child's grow starts afresh
-                rec(child, nu + 1, value + extra, cmask, top, reach, 0)
+                rec(child, nu + 1, value + extra, cmask, 0)
             else:
-                rec(child, nu, value + extra, cmask, top, reach, grow | bit)
+                rec(child, nu, value + extra, cmask, grow | bit)
 
-    rec([], 0, 0, 0, None, None, 0)
+    rec([], 0, 0, 0, 0)
     return best_value, best_mask
 
 

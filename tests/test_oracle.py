@@ -524,6 +524,27 @@ def test_tied_tasks_stop_at_the_empty_completion(monkeypatch):
         assert calls[0] < limit, (args, calls[0])
 
 
+def test_every_parent_tabulates_so_ties_stop_at_once(monkeypatch):
+    # with a table at every level above the last vertex, the root's single
+    # child already ties its entry, and a tie found deeper is not walked
+    calls = _counted(monkeypatch, "_clique_gain")
+    for args, value, limit in (((7, 2, 1), 7, 1),         # 0; 1,983 with tables only at some levels
+                               ((7, 2, 4, 3), 0, 1_001)):  # 840; 2,007
+        calls[0] = 0
+        w = max_over_free(*args)
+        assert (w.value, w.graph.edges()) == (value, []), args
+        assert calls[0] < limit, (args, calls[0])
+
+
+def test_iter_free_graphs_checks_its_arguments_at_the_call():
+    with pytest.raises(CapacityError):
+        iter_free_graphs(8, 1)
+    with pytest.raises(ValueError):
+        iter_free_graphs(-1, 0)
+    with pytest.raises(ValueError):
+        iter_free_graphs(3, -1)
+
+
 def test_unpruned_seven_vertex_scans_find_the_complete_graph():
     complete = complete_graph(7)
     patterns = [(s, None) for s in range(2, 8)]
