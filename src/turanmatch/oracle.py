@@ -9,10 +9,10 @@ one table of quantities measured once per graph, before its shifts.  A law
 check skips only what cannot change its verdict: the König check fills rows
 from the most significant down, carrying a maximum matching down by one
 augmenting search per row, and drops a row prefix whose matching number
-already exceeds k, with every completion; the degree closure walks vertex
-rows as the general scan does, carrying the matching number and ``grow``
-down, and tests the degree sum before the matching test, which only pairs
-meeting it need.
+already exceeds k, with every completion; the degree closure takes each
+parent of the last vertex from one vertex-row walk, which carries the
+matching number and ``grow`` down as the general scan does, and tests the
+degree sum before the matching test, which only pairs meeting it need.
 
 Enumeration prunes a branch as soon as the partial graph's matching number
 exceeds k, which discards only graphs whose every completion is also over
@@ -125,34 +125,62 @@ def _edge_text(rows) -> str:
 def iter_free_graphs(n: int, k: int):
     """An iterator over every labeled graph on 1..n with matching number <= k.
 
-    Depth-first over the edge slots; a branch dies as soon as the partial
-    graph already has matching number k+1.  The arguments are checked at
-    the call, before the first graph is asked for.
+    Graphs come in vertex-row order (``_last_parents``): parent by parent,
+    each with the last vertex's allowed back-rows ascending, which is
+    neither slot order nor mask order.  The arguments are checked at the
+    call, before the first graph is asked for.
     """
     if n > MAX_ORACLE_VERTICES:
         raise CapacityError(f"exhaustive enumeration capped at n <= {MAX_ORACLE_VERTICES}")
     if n < 0 or k < 0:
         raise ValueError(f"need n, k >= 0, got n={n}, k={k}")
-    slots = _edge_slots(n)
-    adj = [0] * n
-    full = (1 << n) - 1
-    bounded = k < n // 2  # otherwise no graph on n vertices exceeds the bound
+    if not n:
+        return iter([Graph(0)])
+    return (Graph(n, _child(adj, back))
+            for adj, nu, grow, _ in _last_parents(n, k)
+            for back in range(1 << n - 1) if nu < k or not back & grow)
 
-    def rec(idx: int, nu: int):
-        if idx == len(slots):
-            yield Graph(n, adj)
+
+def _child(adj: list[int], back: int) -> list[int]:
+    """The rows of ``adj`` with v = len(adj) joined to its back-row ``back``."""
+    bit = 1 << len(adj)
+    rows = [row | bit if back >> u & 1 else row for u, row in enumerate(adj)]
+    rows.append(back)
+    return rows
+
+
+def _last_parents(n: int, k: int):
+    """(adj, nu, grow, mask) for each graph on n - 1 vertices with matching
+    number nu <= k, walked by vertex rows: vertex v is one DFS level taking
+    each back-row in turn.  ``grow`` holds the b whose removal keeps nu (a
+    blossom count on adj less b), so a back-row raises nu exactly when it
+    meets ``grow``; a child that keeps nu inherits the parent's ``grow`` and
+    the parent, as in ``_scan_free_max``.  ``mask`` is adj's edge mask in the
+    slot order of n vertices."""
+    canon = _back_masks(n)
+
+    def rec(adj: list[int], nu: int, mask: int, known: int):
+        v = len(adj)
+        grow = known  # inherited from the parent, with the parent itself
+        for b in range(v):
+            if known >> b & 1:
+                continue
+            rest = [row & ~(1 << b) for row in adj]
+            rest[b] = 0
+            if _nu(rest) == nu:
+                grow |= 1 << b
+        if v == n - 1:
+            yield adj, nu, grow, mask
             return
-        yield from rec(idx + 1, nu)
-        u, v = slots[idx]
-        inc = bounded and _exists_matching(adj, full ^ (1 << u) ^ (1 << v), nu)
-        if not (nu == k and inc):
-            adj[u] |= 1 << v
-            adj[v] |= 1 << u
-            yield from rec(idx + 1, nu + (1 if inc else 0))
-            adj[u] &= ~(1 << v)
-            adj[v] &= ~(1 << u)
+        bit = 1 << v
+        for back in range(1 << v):
+            if not back & grow:
+                yield from rec(_child(adj, back), nu, mask | canon[v][back], grow | bit)
+            elif nu < k:  # nu grows: the child's grow starts afresh
+                yield from rec(_child(adj, back), nu + 1, mask | canon[v][back], 0)
 
-    return rec(0, 0)
+    if n:
+        yield from rec([], 0, 0, 0)
 
 
 def _back_masks(n: int) -> list[list[int]]:
@@ -466,14 +494,10 @@ def verify_bondy_chvatal(n: int) -> list[Check]:
 
     For each instance let k+1 be the matching number after adding the edge;
     if both endpoint degrees sum to at least 2k+1 the matching number must
-    not have grown.  Each graph's non-edge slots are its cases.  Graphs are
-    walked by vertex rows, as in ``_scan_free_max``: each vertex v is one
-    DFS level choosing its back-row, and the matching number is carried
-    through one ``grow`` mask per parent, the b whose removal keeps the
-    parent's matching number (a blossom count on the parent less b), so a
-    back-row raises it exactly when it meets ``grow``.  As in the scan, a
-    child that keeps the matching number inherits the parent's ``grow`` and
-    the parent itself, and counts only its other vertices.  The last vertex's
+    not have grown.  Each graph's non-edge slots are its cases.  The parents
+    of the last vertex come from the vertex-row walk ``_last_parents``, with
+    their matching number and ``grow`` mask, so a back-row raises the
+    matching number exactly when it meets ``grow``.  The last vertex's
     back-rows are scored in a flat loop: a graph's degrees are the parent's
     plus membership in the back-row, the parent's non-edges are filtered
     once by the most degree any back-row can add, and only pairs meeting
@@ -495,37 +519,14 @@ def verify_bondy_chvatal(n: int) -> list[Check]:
         found.append((mask, slot, f"G={_edge_text(rows)} uv=({u + 1},{v + 1}) k={k}: "
                                   f"degrees reach 2k+1 yet adding uv raises the matching number"))
 
-    def rec(adj: list[int], nu: int, mask: int, known: int) -> None:
-        nonlocal cases
-        v = len(adj)
-        grow = known  # inherited from the parent, with the parent itself
-        for b in range(v):
-            if known >> b & 1:
-                continue
-            rest = [row & ~(1 << b) for row in adj]
-            rest[b] = 0
-            if _nu(rest) == nu:
-                grow |= 1 << b
-        bit = 1 << v
-
-        def child(back: int) -> list[int]:  # the rows with v taking the back-row
-            rows = [row | bit if back >> u & 1 else row for u, row in enumerate(adj)]
-            rows.append(back)
-            return rows
-
-        if v < n - 1:
-            for back in range(1 << v):
-                if back & grow:  # nu grows: the child's grow starts afresh
-                    rec(child(back), nu + 1, mask | canon[v][back], 0)
-                else:
-                    rec(child(back), nu, mask | canon[v][back], grow | bit)
-            return
+    v = n - 1  # the last vertex
+    for adj, nu, grow, mask in _last_parents(n, n):
         deg = [row.bit_count() for row in adj]
         least = 2 * nu + 1  # the degree sum every leaf needs, at the parent's matching number
         pairs = [(u, w, deg[u] + deg[w], slot_of[u, w], full ^ (1 << u) ^ (1 << w))
                  for u, w in combinations(range(v), 2)
                  if not adj[u] >> w & 1 and deg[u] + deg[w] + 2 >= least]
-        ends = [(u, v, deg[u], slot_of[u, v], full ^ (1 << u) ^ bit)
+        ends = [(u, v, deg[u], slot_of[u, v], full ^ (1 << u) ^ (1 << v))
                 for u in range(v) if deg[u] + v - 1 >= least]
         non_edges = comb(v, 2) - sum(deg) // 2
         cases += (non_edges << v) + (v << v >> 1)  # plus v - |B| to the last vertex, over all B
@@ -537,17 +538,15 @@ def verify_bondy_chvatal(n: int) -> list[Check]:
             rows = None
             for u, w, d, slot, free in pairs:
                 if d + (back >> u & 1) + (back >> w & 1) >= need:
-                    rows = rows or child(back)
+                    rows = rows or _child(adj, back)
                     if _exists_matching(rows, free, knu):
                         report(rows, u, w, knu, mask | canon[v][back], slot)
             for u, w, d, slot, free in ends:
                 if not back >> u & 1 and d + size >= need:
-                    rows = rows or child(back)
+                    rows = rows or _child(adj, back)
                     if _exists_matching(rows, free, knu):
                         report(rows, u, w, knu, mask | canon[v][back], slot)
 
-    if n:
-        rec([], 0, 0, 0)
     found.sort()
     return [Check("degree-closure", cases, tuple(text for _, _, text in found))]
 

@@ -545,6 +545,35 @@ def test_iter_free_graphs_checks_its_arguments_at_the_call():
         iter_free_graphs(3, -1)
 
 
+def test_iter_free_graphs_yields_each_graph_once():
+    # totals by k = 0, 1, 2, ...; the last k, past n // 2, admits every graph
+    totals = {0: [1, 1], 1: [1, 1], 2: [1, 2, 2], 3: [1, 8, 8], 4: [1, 27, 64, 64],
+              5: [1, 76, 1_024, 1_024], 6: [1, 192, 7_945, 32_768, 32_768]}
+    for n, expected in totals.items():
+        nus = [matching_number(g) for g in all_graphs(n)]
+        for k, total in enumerate(expected):
+            yielded = list(iter_free_graphs(n, k))
+            assert len(yielded) == len(set(yielded)) == sum(nu <= k for nu in nus) == total, (n, k)
+    for k, total in ((1, 456), (2, 46_936)):
+        yielded = list(iter_free_graphs(7, k))
+        assert len(yielded) == len(set(yielded)) == total, k
+
+
+def test_last_parents_yield_each_free_parent_once_with_its_grow_and_mask():
+    assert list(oracle._last_parents(0, 0)) == []
+    for n in range(1, 7):
+        slots = oracle._edge_slots(n)
+        nus = [matching_number(g) for g in all_graphs(n - 1)]
+        for k in range(n // 2 + 1):
+            parents = list(oracle._last_parents(n, k))
+            for adj, nu, grow, mask in parents:
+                assert (nu, grow) == (_nu(adj), _grow(adj, nu)), (adj, k)
+                assert mask == sum(1 << i for i, (u, w) in enumerate(slots)
+                                   if w < n - 1 and adj[u] >> w & 1), (adj, k)
+            distinct = {tuple(adj) for adj, _, _, _ in parents}
+            assert len(parents) == len(distinct) == sum(nu <= k for nu in nus), (n, k)
+
+
 def test_unpruned_seven_vertex_scans_find_the_complete_graph():
     complete = complete_graph(7)
     patterns = [(s, None) for s in range(2, 8)]
