@@ -6,13 +6,18 @@ matching number at most k.  The structural laws are checked instance by
 instance, reporting any counterexample in full; the saturated König host's
 count is compared with ``extremal.bip_split_count``, and the shift laws are
 one table of quantities measured once per graph, before its shifts.  A law
-check skips only what cannot change its verdict: the König check fills rows
-from the most significant down, carrying a maximum matching down by one
-augmenting search per row, and drops a row prefix whose matching number
-already exceeds k, with every completion; the degree closure takes each
-parent of the last vertex from one vertex-row walk, which carries the
-matching number and ``grow`` down as the general scan does, and tests the
-degree sum before the matching test, which only pairs meeting it need.
+check skips only what cannot change its verdict.  The König check fills
+rows from the most significant down, carrying a maximum matching: each fill
+node finds the Y-vertices from which its new X-vertex would augment, one
+search per single-vertex row, so a row missing them keeps the matching
+uncopied and only a row meeting them searches; a row prefix whose matching
+number already exceeds k is dropped with every completion, and a case's
+biclique counts are scored once per sorted row tuple, since permuting
+X-rows changes none.  The degree closure takes each parent of the last
+vertex from one vertex-row walk, which carries the matching number and
+``grow`` down as the general scan does, and picks the (back-row, pair)
+tests meeting the degree sum in bulk, as sets of back-rows, before any
+matching test.
 
 Enumeration prunes a branch as soon as the partial graph's matching number
 exceeds k, which discards only graphs whose every completion is also over
@@ -497,12 +502,13 @@ def verify_bondy_chvatal(n: int) -> list[Check]:
     not have grown.  Each graph's non-edge slots are its cases.  The parents
     of the last vertex come from the vertex-row walk ``_last_parents``, with
     their matching number and ``grow`` mask, so a back-row raises the
-    matching number exactly when it meets ``grow``.  The last vertex's
-    back-rows are scored in a flat loop: a graph's degrees are the parent's
-    plus membership in the back-row, the parent's non-edges are filtered
-    once by the most degree any back-row can add, and only pairs meeting
-    the degree test pay for the matching test.  Violations are reported in
-    ascending edge mask, then slot, order.
+    matching number exactly when it meets ``grow``.  Each parent picks its
+    matching tests in bulk (``_closure_tests``): per pair, the back-rows
+    whose child meets the degree test form one integer, bit B for back-row
+    B, read off tables made once per n, so only those (back-row, pair)
+    tests pay for the matching test, and each child's rows are built once,
+    at its first test.  Violations are reported in ascending edge mask, then
+    slot, order.
     """
     if n > MAX_ORACLE_VERTICES:
         raise CapacityError(f"capped at n <= {MAX_ORACLE_VERTICES}")
@@ -520,35 +526,74 @@ def verify_bondy_chvatal(n: int) -> list[Check]:
                                   f"degrees reach 2k+1 yet adding uv raises the matching number"))
 
     v = n - 1  # the last vertex
+    tables = _closure_tables(max(v, 0))  # n = 0 has no parents
     for adj, nu, grow, mask in _last_parents(n, n):
-        deg = [row.bit_count() for row in adj]
-        least = 2 * nu + 1  # the degree sum every leaf needs, at the parent's matching number
-        pairs = [(u, w, deg[u] + deg[w], slot_of[u, w], full ^ (1 << u) ^ (1 << w))
-                 for u, w in combinations(range(v), 2)
-                 if not adj[u] >> w & 1 and deg[u] + deg[w] + 2 >= least]
-        ends = [(u, v, deg[u], slot_of[u, v], full ^ (1 << u) ^ (1 << v))
-                for u in range(v) if deg[u] + v - 1 >= least]
-        non_edges = comb(v, 2) - sum(deg) // 2
+        non_edges = comb(v, 2) - sum(row.bit_count() for row in adj) // 2
         cases += (non_edges << v) + (v << v >> 1)  # plus v - |B| to the last vertex, over all B
-
-        for back in range(1 << v):
-            knu = nu + (1 if back & grow else 0)
-            need = 2 * knu + 1
-            size = back.bit_count()
-            rows = None
-            for u, w, d, slot, free in pairs:
-                if d + (back >> u & 1) + (back >> w & 1) >= need:
-                    rows = rows or _child(adj, back)
-                    if _exists_matching(rows, free, knu):
-                        report(rows, u, w, knu, mask | canon[v][back], slot)
-            for u, w, d, slot, free in ends:
-                if not back >> u & 1 and d + size >= need:
-                    rows = rows or _child(adj, back)
-                    if _exists_matching(rows, free, knu):
-                        report(rows, u, w, knu, mask | canon[v][back], slot)
+        kids = [None] * (1 << v)  # the child on each back-row, built at its first test
+        for u, w, backs in _closure_tests(adj, nu, grow, tables):
+            slot = slot_of[u, w]
+            free = full ^ (1 << u) ^ (1 << w)
+            while backs:
+                low = backs & -backs
+                backs ^= low
+                back = low.bit_length() - 1
+                rows = kids[back] or _child(adj, back)
+                kids[back] = rows
+                knu = nu + (1 if back & grow else 0)
+                if _exists_matching(rows, free, knu):
+                    report(rows, u, w, knu, mask | canon[v][back], slot)
 
     found.sort()
     return [Check("degree-closure", cases, tuple(text for _, _, text in found))]
+
+
+def _closure_tables(v: int):
+    """Sets of back-rows B of vertex v, as integers holding bit B for each B:
+    (every B, ``contains[u]`` the B holding u, ``at_least[x]`` the B of size
+    at least x for x <= v, ``meets[g]`` the B meeting the vertex set g)."""
+    every = (1 << (1 << v)) - 1
+    contains = [sum(1 << b for b in range(1 << v) if b >> u & 1) for u in range(v)]
+    at_least = [sum(1 << b for b in range(1 << v) if b.bit_count() >= x) for x in range(v + 1)]
+    meets = [0] * (1 << v)
+    for g in range(1, 1 << v):
+        low = g & -g
+        meets[g] = meets[g ^ low] | contains[low.bit_length() - 1]
+    return every, contains, at_least, meets
+
+
+def _closure_tests(adj, nu, grow, tables) -> list[tuple[int, int, int]]:
+    """The degree closure's matching tests below the parent rows ``adj``
+    (matching number nu, ``grow`` as ``_last_parents`` yields it), as
+    (u, w, backs) with u < w <= v = len(adj): bit B of ``backs`` is set iff
+    u and w are non-adjacent in the child on back-row B and their degrees
+    there sum to at least 2k + 1, k being the child's matching number, nu
+    plus one where B meets ``grow``.  A pair below v gains a degree from
+    each of its ends in B; a pair (u, v) needs u outside B and gains |B|.
+    ``tables`` is ``_closure_tables(v)``."""
+    every, contains, at_least, meets = tables
+    v = len(adj)
+    meet = meets[grow]
+    miss = every ^ meet
+    least = 2 * nu + 1  # the degree sum a pair needs where B misses grow, 2 more where it meets
+    deg = [row.bit_count() for row in adj]
+    tests = []
+    for u, w in combinations(range(v), 2):
+        if adj[u] >> w & 1:
+            continue
+        gap = least - deg[u] - deg[w]  # how many of u, w a B missing grow must hold
+        holding = (every, contains[u] | contains[w], contains[u] & contains[w])  # at least i
+        backs = (miss & (holding[max(gap, 0)] if gap <= 2 else 0)
+                 | meet & (holding[max(gap + 2, 0)] if gap <= 0 else 0))
+        if backs:
+            tests.append((u, w, backs))
+    for u in range(v):
+        gap = least - deg[u]  # the size a B missing grow must reach
+        backs = (miss & (at_least[max(gap, 0)] if gap <= v else 0)
+                 | meet & (at_least[max(gap + 2, 0)] if gap + 2 <= v else 0)) & ~contains[u]
+        if backs:
+            tests.append((u, v, backs))
+    return tests
 
 
 def verify_koenig_gstar(
@@ -564,15 +609,21 @@ def verify_koenig_gstar(
 
     Rows are filled from row nx-1 (the most significant in the mask) down to
     row 0, each row ascending, so graphs arrive in ascending mask order.  A
-    maximum matching is carried down the fill: each row makes one augmenting
-    search from its X-vertex on a copy of the rows above's matching, which
-    leaves it maximum.  A partial graph whose matching number, undecided
-    rows empty, already exceeds k is dropped with every completion: each
-    completion contains it, so none is a case; nothing is dropped when
-    k >= min(nx, ny).  Every surviving graph gets the full check, its cover
-    read off the carried matching: the alternating-reachability cover is the
-    same for every maximum matching.  Each saturated host is scored once
-    per cover.
+    maximum matching is carried down the fill.  Each fill node first finds
+    ``reach``, the Y-vertices y from which its X-vertex x would augment, by
+    one augmenting search per single-vertex row {y} on a copy of the
+    matching: a search from x leaves only through x's row, so a row
+    augments exactly when it meets ``reach``.  A row missing it keeps the
+    node's matching, uncopied and maximum; a row meeting it makes one
+    augmenting search on a copy.  A partial graph whose matching number,
+    undecided rows empty, already exceeds k is dropped with every
+    completion: each completion contains it, so none is a case; nothing is
+    dropped when k >= min(nx, ny).  Every surviving graph gets the full
+    check, its cover read off the carried matching: the
+    alternating-reachability cover is the same for every maximum matching.
+    Each saturated host is scored once per cover, and each case's counts
+    once per sorted row tuple: permuting X-rows changes no biclique count,
+    as ``max_over_free_bip`` also relies on.
     """
     if nx * ny > MAX_ORACLE_BIP_SLOTS:
         raise CapacityError(f"capped at nx*ny <= {MAX_ORACLE_BIP_SLOTS}")
@@ -598,21 +649,34 @@ def verify_koenig_gstar(
     def where(rows) -> str:
         return f"G(X={nx},Y={ny})={BipartiteGraph(nx, ny, rows).edges()}"
 
-    def fill(x: int, size: int, match_y):  # rows above x are set, rows below it zero
+    def fill(x: int, size: int, match_y):  # rows above x set, below it zero; yields cases
+        reach = 0  # the y whose row {y} augments from x: a row grows iff it meets them
+        for y in range(ny):
+            rows[x] = 1 << y
+            if _bip_augment(rows, x, match_y[:]):
+                reach |= 1 << y
+        grows = not bounded or size < k
         for row in range(full_y + 1):
             rows[x] = row
-            matched = match_y[:]
-            grown = size + _bip_augment(rows, x, matched)
-            if x == 0:
-                yield grown, matched
-            elif not bounded or grown <= k:
+            if not row & reach:
+                matched, grown = match_y, size
+            elif grows:
+                matched = match_y[:]
+                _bip_augment(rows, x, matched)
+                grown = size + 1
+            else:
+                continue
+            if x:
                 yield from fill(x - 1, grown, matched)
+            elif grown == k:
+                yield matched
         rows[x] = 0
 
     hosts: dict[tuple[int, int], list[int]] = {}  # (xs, ys) -> the host's counts per pair
-    for size, match_y in fill(nx - 1, 0, [-1] * ny) if nx else [(0, [-1] * ny)]:
-        if size != k:
-            continue
+    counts: dict[tuple[int, ...], list[int]] = {}  # sorted rows -> the case's counts per pair
+    # each case's maximum matching; with no X-rows the one graph is empty, a case at k = 0
+    leaves = fill(nx - 1, 0, [-1] * ny) if nx else [[-1] * ny] * (k == 0)
+    for match_y in leaves:
         cases += 1
         xs, ys = _cover_masks(rows, nx, match_y)
         covered = all(rows[x] & ~ys == 0 for x in range(nx) if not xs >> x & 1)
@@ -629,8 +693,11 @@ def verify_koenig_gstar(
         host = hosts.get((xs, ys))
         if host is None:
             host = hosts[xs, ys] = [_bip_sum(star_rows, ny, s, t) for s, t in pairs]
-        for (s, t), c_star in zip(pairs, host):
-            c_g = _bip_sum(rows, ny, s, t)
+        orbit = tuple(sorted(rows))
+        here = counts.get(orbit)
+        if here is None:
+            here = counts[orbit] = [_bip_sum(rows, ny, s, t) for s, t in pairs]
+        for (s, t), c_star, c_g in zip(pairs, host, here):
             if c_g > c_star:
                 mono_bad.append(f"{where(rows)} (s,t)=({s},{t}): {c_g} > {c_star}")
             expected = formula[x_count, s, t]

@@ -27,7 +27,7 @@ from turanmatch import (
     extremal_graph,
     extremal_star_count,
 )
-from turanmatch.counting import _clique_gain, _clique_sum, _clique_top_sum
+from turanmatch.counting import _bip_sum, _clique_gain, _clique_sum, _clique_top_sum
 
 
 def _complete_bip(nx, ny):
@@ -102,6 +102,14 @@ def test_count_bip_edges_and_symmetry(bg):
     for s in (1, 2):
         for t in (1, 2, 3):
             assert count_bip(bg, s, t) == count_bip(bg, t, s)
+
+
+@given(bip_graphs(), st.integers(1, 3), st.integers(1, 3), st.data())
+def test_bip_sum_ignores_the_order_of_the_x_rows(bg, s, t, data):
+    # the König check scores one count per sorted row tuple on this law
+    rows = list(bg.biadj)
+    permuted = data.draw(st.permutations(rows))
+    assert _bip_sum(permuted, bg.ny, s, t) == _bip_sum(rows, bg.ny, s, t)
 
 
 def test_counters_match_naive_exhaustively_small():

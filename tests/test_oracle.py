@@ -1,5 +1,8 @@
+from collections import Counter
+from itertools import combinations
+
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from helpers import (
@@ -14,6 +17,7 @@ from helpers import (
 )
 from turanmatch import (
     CapacityError,
+    Graph,
     ParameterRangeError,
     bip_split_count,
     complete_graph,
@@ -32,8 +36,8 @@ from turanmatch import (
     verify_shift_lemmas,
     verify_shifted_structure,
 )
-from turanmatch.counting import _clique_top_sum
-from turanmatch.matching import _bip_nu, _cover_masks, _exists_matching, _nu
+from turanmatch.counting import _bip_sum, _clique_top_sum
+from turanmatch.matching import _cover_masks, _exists_matching, _nu
 
 
 def test_iter_free_graphs_matches_filtered_enumeration():
@@ -299,6 +303,24 @@ def test_verify_koenig_gstar_reports_like_the_reference(monkeypatch, fault):
         assert any(ch.violations for ch in checks) == (checks[0].cases > 0), args
 
 
+def _edge_shortfall(rows, ny, s, t):  # the count less the edge count: no X-row order matters
+    return _bip_sum(rows, ny, s, t) - sum(row.bit_count() for row in rows)
+
+
+def test_verify_koenig_gstar_reports_a_monotone_fault_like_the_reference(monkeypatch):
+    # each case's counts are scored once per sorted row tuple, which any
+    # count blind to the X-row order allows; less its edge count, a host
+    # can fall below a sparser graph it contains, so gstar-monotone reports
+    _inject(monkeypatch, "_bip_sum", _edge_shortfall)
+    sizes = [(nx, ny, k) for nx in range(4) for ny in range(4) for k in range(min(nx, ny) + 2)]
+    reported = 0
+    for args in sizes + [(4, 4, 1), (4, 4, 2)]:
+        checks = verify_koenig_gstar(*args)
+        assert checks == ref_verify_koenig_gstar(*args), args
+        reported += len(checks[2].violations)
+    assert reported > 0
+
+
 def test_verify_koenig_gstar_cases_cover_every_graph():
     for nx, ny in ((4, 4), (3, 4), (2, 3)):
         cases = [verify_koenig_gstar(nx, ny, k, pairs=())[0].cases for k in range(min(nx, ny) + 1)]
@@ -308,16 +330,9 @@ def test_verify_koenig_gstar_cases_cover_every_graph():
 
 
 def test_verify_koenig_gstar_prunes_row_prefixes(monkeypatch):
-    calls = 0
-
-    def counted(*args):
-        nonlocal calls
-        calls += 1
-        return _bip_nu(*args)
-
-    monkeypatch.setattr("turanmatch.oracle._bip_nu", counted)
-    verify_koenig_gstar(4, 4, 1)
-    assert calls < 2500  # 1,824 with pruning; every one of the 65,536 graphs without
+    augments = _counted(monkeypatch, "_bip_augment")
+    assert verify_koenig_gstar(4, 4, 1)[0].cases == 104
+    assert augments[0] < 2_500  # 516 with pruning; 72,609 filling every row prefix
 
 
 def test_max_over_free_matches_leaf_recount_reference():
@@ -330,6 +345,24 @@ def test_max_over_free_matches_leaf_recount_reference():
                 expected = (value, graph_from_mask(n, mask).edges())
                 w = max_over_free(n, k, s, t)
                 assert (w.value, w.graph.edges()) == expected, (n, k, s, t)
+
+
+def _unbounding_table(adj, n, steps, s, t, reach=None):
+    return [1 << 40] * (len(steps) + 1)
+
+
+def test_last_vertex_keeps_the_smallest_tied_back_row(monkeypatch):
+    # the tables only bound the leaves; with entries that prune nothing and
+    # never tie a child's empty completion, every tie is decided by the last
+    # vertex, whose smallest tied back-row keeps the smallest-mask witness
+    # (the widest one gives (2, 1, 1), where every graph ties, the witness {(1,2)})
+    monkeypatch.setattr(oracle, "_completion_counts", _unbounding_table)
+    for n in range(1, 6):
+        for k in range(n // 2 + 1):
+            for s, t in [(s, None) for s in range(1, n + 1)] + [(1, 2), (2, 2), (2, 3)]:
+                value, mask = ref_scan_free_max(n, k, s, t)
+                w = max_over_free(n, k, s, t)
+                assert (w.value, w.graph.edges()) == (value, graph_from_mask(n, mask).edges()), (n, k, s, t)
 
 
 def test_pruned_seven_vertex_scans_match_reference():
@@ -401,6 +434,44 @@ def test_degree_closure_counts_matchings_once_per_parent_vertex(monkeypatch):
     (check,) = verify_bondy_chvatal(6)
     assert (check.cases, check.violations) == (245_760, ())
     assert calls[0] <= 6_000  # 5,405 = v calls per parent on v < 6 vertices; 32,768 with one per graph
+
+
+def test_degree_filter_selects_the_same_matching_tests(monkeypatch):
+    # the (back-row, pair) tests passing the degree test, by matching size
+    calls = Counter()
+
+    def counted(adj, free, r):
+        calls[r] += 1
+        return _exists_matching(adj, free, r)
+
+    monkeypatch.setattr("turanmatch.oracle._exists_matching", counted)
+    for n, expected in ((5, {1: 20, 2: 560}), (6, {1: 150, 2: 5_715, 3: 8_505})):
+        calls.clear()
+        assert verify_bondy_chvatal(n)[0].ok
+        assert calls == expected, n
+
+
+@given(graphs(min_n=0, max_n=6))
+@example(Graph.from_edges(6, [(a, b) for a in (1, 2) for b in (3, 4, 5, 6)]))
+def test_closure_tests_are_the_degree_tests_of_each_back_row(g):
+    # bit B of a pair's backs is set iff the pair, non-adjacent in the child
+    # on back-row B, has degree sum at least 2k + 1 there; on 6-vertex
+    # parents such as K(2,4) a non-edge's degrees can reach 2nu + 3, so
+    # every B meeting grow passes
+    v = g.n
+    nu = _nu(g.adj)
+    grow = _grow(g.adj, nu)
+    tests = oracle._closure_tests(g.adj, nu, grow, oracle._closure_tables(v))
+    got = {(back, u, w) for u, w, backs in tests for back in range(1 << v) if backs >> back & 1}
+    assert all(backs for _, _, backs in tests)
+    expected = set()
+    for back in range(1 << v):
+        child = [row | (back >> u & 1) << v for u, row in enumerate(g.adj)] + [back]
+        k = nu + (1 if back & grow else 0)
+        for u, w in combinations(range(v + 1), 2):
+            if not child[u] >> w & 1 and child[u].bit_count() + child[w].bit_count() >= 2 * k + 1:
+                expected.add((back, u, w))
+    assert got == expected
 
 
 def test_verify_bondy_chvatal_matches_reference_under_a_selective_fake(monkeypatch):
@@ -498,10 +569,14 @@ def test_full_parents_bound_their_subtrees_by_their_matching(monkeypatch):
 def test_koenig_check_carries_its_matching_down_the_rows(monkeypatch):
     augments = _counted(monkeypatch, "_bip_augment")
     assert verify_koenig_gstar(4, 4, 1)[0].cases == 104
-    assert augments[0] < 2_500  # 1,824, one per row filled; 69,904 without prefix pruning
-    hosts = _counted(monkeypatch, "_bip_sum")
+    # 516: one probe per Y-vertex at each fill node, then one search per row
+    # that meets the probed set; 1,824 with one search per row filled
+    assert augments[0] < 1_000
+    counts = _counted(monkeypatch, "_bip_sum")
     assert verify_koenig_gstar(4, 4, 2)[0].cases == 2912
-    assert hosts[0] <= 9_000  # 8,820; 17,472 scoring each case's host again
+    # 1,002 = 3 per cover and 3 per sorted row tuple (28 and 306 of them);
+    # 8,820 scoring each case, 17,472 scoring each case's host again
+    assert counts[0] <= 1_100
 
 
 def test_degree_closure_inherits_the_parents_grow(monkeypatch):
