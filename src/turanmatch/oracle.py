@@ -41,8 +41,10 @@ that empty completion the subtree's best leaf.  Below a parent whose
 matching number is already k, ``grow`` only gains vertices, so every later
 vertex may join only the vertices outside the parent's ``grow``, the ones
 every maximum matching covers, and that is the widest completion;
-elsewhere each later vertex is joined to all others.  Children go widest
-back-row first, so a near-best graph sets the best early.
+elsewhere each later vertex is joined to all others, by the same row build.
+The counts and the tables run one chain of edge gains over the allowed
+back-rows, tabulated once per scan for each allowed set, when first met.
+Children go widest back-row first, so a near-best graph sets the best early.
 The bipartite scan scores one member per orbit of X-row permutations, an
 ascending tuple of rows read from the most significant down, which is the
 orbit's smallest mask and shares its matching number and biclique count;
@@ -210,33 +212,35 @@ def _steps(backs) -> list[tuple[int, int, int]]:
             for i in range(1, len(backs))]
 
 
-def _completion_counts(adj, n, steps, s, t, reach=None) -> list[int]:
+def _chain(rows, steps, first, joined, s, t) -> list[int]:
+    """Pattern counts along ``steps`` (``_steps`` over ``backs``) of a vertex
+    v whose row is ``joined`` plus its back-row: entry 0 is ``first``, and
+    entry i adds to entry j the copies through the edge vw, read off
+    ``rows``, that takes backs[j] to backs[i]."""
+    counts = [first]
+    append = counts.append
+    gain = _clique_gain  # bound once, looked up per back-row
+    for j, rest, w in steps:
+        append(counts[j] + gain(rows, rows[w], rest | joined, s, t))
+    return counts
+
+
+def _completion_counts(adj, n, steps, s, t, reach=-1) -> list[int]:
     """Pattern counts of the widest completions of the children of the
     parent rows ``adj``: entry i has v = len(adj) take the back-row
-    backs[i] (``steps`` as ``_steps`` lists it over ``backs``).  Without
-    ``reach`` every later vertex is joined to all others; with it each
-    later vertex is joined to exactly the vertices of ``reach`` below v,
-    and neither to v nor to another later vertex, the widest completion
-    once the parent's matching number is k (``_scan_free_max``).  One
-    direct count with v's row empty of back-row bits, then one edge gain
-    per back-row."""
+    backs[i] (``steps`` as ``_steps`` lists it over ``backs``).  Each later
+    vertex is joined to the vertices of ``reach`` but itself: by default to
+    all others; with ``reach`` below v, to those only, the widest completion
+    once the parent's matching number is k (``_scan_free_max``).  One direct
+    count with v's row empty of back-row bits, then one edge gain per
+    back-row."""
     v = len(adj)
     full = (1 << n) - 1
     later = full ^ ((2 << v) - 1)
-    if reach is None:
-        rows = [row | later for row in adj]
-        rows.append(later)
-        rows += [full ^ 1 << z for z in range(v + 1, n)]
-    else:
-        rows = [row | later if reach >> u & 1 else row for u, row in enumerate(adj)]
-        rows.append(0)
-        rows += [reach] * (n - v - 1)
-    tops = [_clique_top_sum(rows, s, t)]
-    append = tops.append
-    joined = rows[v]  # v's row apart from its back-row
-    for j, rest, w in steps:
-        append(tops[j] + _clique_gain(rows, rows[w], rest | joined, s, t))
-    return tops
+    rows = [row | later if reach >> u & 1 else row for u, row in enumerate(adj)]
+    rows.append(reach & later)
+    rows += [reach & ~(1 << z) & full for z in range(v + 1, n)]
+    return _chain(rows, steps, _clique_top_sum(rows, s, t), rows[v], s, t)
 
 
 def _scan_free_max(n, k, s, t):
@@ -245,8 +249,11 @@ def _scan_free_max(n, k, s, t):
     Each vertex v is one DFS level that picks v's back-row B, the
     neighbours of v below it.  Over the back-rows of one parent the count
     grows as val[B] = val[B - w] + (copies through the edge vw), read off
-    the parent graph; the last vertex's back-rows are scored in a flat loop,
-    and its widest allowed back-row has the most copies.
+    the parent graph (``_chain``); the last vertex's back-rows are scored in
+    a flat loop, and its widest allowed back-row has the most copies.  The
+    allowed back-rows and their ``_steps`` come from one dict per scan, filled
+    when each allowed set is first met: building all 2^(n-1) sets up front
+    costs more than a small scan's walk.
     The parent's ``grow`` mask holds each b whose removal leaves a matching
     of the parent's size nu: a back-row raises the matching number to nu + 1
     exactly when it meets ``grow``, so at nu = k only subsets of the other
@@ -267,7 +274,8 @@ def _scan_free_max(n, k, s, t):
     vertex needs k < n // 2 and so the searches, every vertex below keeps
     nu = k, so by inheritance each later vertex may join only the parent's
     allowed vertices, never v nor another later vertex, and the table joins
-    it to exactly those; elsewhere each later vertex is joined to all others.
+    it to exactly those (``reach`` = the allowed set); elsewhere each later
+    vertex is joined to all others (every vertex), by the same ``_chain``.
     Children go widest back-row first, so a near-best graph sets the best
     early.  A graph's mask is the OR of ``_back_masks`` entries along its
     path, its edge mask in the lexicographic slot order, so the
@@ -276,8 +284,7 @@ def _scan_free_max(n, k, s, t):
     if not n:
         return 0, 0
     canon = _back_masks(n)
-    full_steps = [_steps(range(1 << v)) for v in range(n)]
-    gain = _clique_gain  # bound once, looked up per back-row
+    subsets = {}  # allowed back-row set -> (its subsets ascending, their _steps), filled when met
     base = _clique_sum([], 0, 0, s - 1, t)  # copies on v alone, before its edges
     best_value = -1
     best_mask = 0
@@ -297,18 +304,13 @@ def _scan_free_max(n, k, s, t):
                 if _exists_matching(adj, below ^ low, nu):
                     grow |= low
         allowed = below & ~grow if nu == k else below  # the back-rows keeping nu <= k
-        if allowed != below:  # its subsets, ascending
+        if allowed not in subsets:
             backs = [0]
             while backs[-1] != allowed:
                 backs.append((backs[-1] - allowed) & allowed)
-            steps = _steps(backs)
-        else:
-            backs = range(1 << v)
-            steps = full_steps[v]
-        vals = [base]
-        append = vals.append
-        for j, rest, w in steps:
-            append(vals[j] + gain(adj, adj[w], rest, s, t))
+            subsets[allowed] = backs, _steps(backs)
+        backs, steps = subsets[allowed]
+        vals = _chain(adj, steps, base, 0, s, t)
         table = canon[v]
         if v == n - 1:
             top = value + vals[-1]  # the widest allowed back-row's count
@@ -317,8 +319,7 @@ def _scan_free_max(n, k, s, t):
                 if top > best_value or low < best_mask:
                     best_value, best_mask = top, low
             return
-        bit = 1 << v
-        tops = _completion_counts(adj, n, steps, s, t, allowed if nu == k else None)
+        tops = _completion_counts(adj, n, steps, s, t, allowed if nu == k else -1)
         empty = (n - v - 1) * base  # the copies later vertices add when isolated
         for back, extra, top in zip(reversed(backs), reversed(vals), reversed(tops)):
             cmask = mask | table[back]
@@ -327,12 +328,11 @@ def _scan_free_max(n, k, s, t):
             if top == value + extra + empty:  # the empty completion is a best leaf
                 best_value, best_mask = top, cmask
                 continue
-            child = [row | bit if back >> u & 1 else row for u, row in enumerate(adj)]
-            child.append(back)
+            child = _child(adj, back)
             if back & grow:  # nu grows: the child's grow starts afresh
                 rec(child, nu + 1, value + extra, cmask, 0)
             else:
-                rec(child, nu, value + extra, cmask, grow | bit)
+                rec(child, nu, value + extra, cmask, grow | 1 << v)
 
     rec([], 0, 0, 0, 0)
     return best_value, best_mask
@@ -603,9 +603,10 @@ def verify_koenig_gstar(
     pairs: tuple[tuple[int, int], ...] = ((1, 1), (1, 2), (2, 2)),
 ) -> list[Check]:
     """For every bipartite graph with matching number exactly k: the minimum
-    cover has size k and covers everything; saturating the cover sides yields
-    a supergraph whose biclique counts dominate the original and match the
-    closed-form split count at x = |X-side of the cover|.
+    cover has size k (``koenig-duality``) and covers every edge, so the graph
+    lies in the host saturating the cover's sides (``gstar-contains``, the
+    one coverage test); that host's biclique counts dominate the graph's and
+    match the closed-form split count at x = |X-side of the cover|.
 
     Rows are filled from row nx-1 (the most significant in the mask) down to
     row 0, each row ascending, so graphs arrive in ascending mask order.  A
@@ -679,8 +680,7 @@ def verify_koenig_gstar(
     for match_y in leaves:
         cases += 1
         xs, ys = _cover_masks(rows, nx, match_y)
-        covered = all(rows[x] & ~ys == 0 for x in range(nx) if not xs >> x & 1)
-        if xs.bit_count() + ys.bit_count() != k or not covered:
+        if xs.bit_count() + ys.bit_count() != k:
             cover = tuple(tuple(a + 1 for a in range(m) if side >> a & 1)
                           for m, side in ((nx, xs), (ny, ys)))
             dual_bad.append(f"{where(rows)}: cover {cover} vs matching {k}")

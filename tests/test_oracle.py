@@ -303,6 +303,26 @@ def test_verify_koenig_gstar_reports_like_the_reference(monkeypatch, fault):
         assert any(ch.violations for ch in checks) == (checks[0].cases > 0), args
 
 
+def _turned_cover(rows, nx, match_y):  # the right size, its Y-side turned by one vertex
+    xs, ys = _cover_masks(rows, nx, match_y)
+    ny = len(match_y)
+    return xs, (ys << 1 | ys >> ny - 1) & ((1 << ny) - 1) if ys else 0
+
+
+def test_verify_koenig_gstar_reports_an_uncovered_edge_like_the_reference(monkeypatch):
+    # a cover of size k that misses an edge passes koenig-duality, which
+    # tests the size only, and gstar-contains, the one coverage test, reports it
+    _inject(monkeypatch, "_cover_masks", _turned_cover)
+    sizes = [(nx, ny, k) for nx in range(4) for ny in range(4) for k in range(min(nx, ny) + 2)]
+    reported = 0
+    for args in sizes + [(4, 4, 1), (4, 4, 2)]:
+        checks = verify_koenig_gstar(*args)
+        assert checks == ref_verify_koenig_gstar(*args), args
+        assert not checks[0].violations, args
+        reported += len(checks[1].violations)
+    assert reported > 0
+
+
 def _edge_shortfall(rows, ny, s, t):  # the count less the edge count: no X-row order matters
     return _bip_sum(rows, ny, s, t) - sum(row.bit_count() for row in rows)
 
@@ -427,6 +447,15 @@ def test_child_table_cuts_the_last_level_chains(monkeypatch):
     calls = _counted(monkeypatch, "_clique_gain")
     assert max_over_free(7, 2, 2).value == 11
     assert calls[0] <= 25_000  # 21,091; 60,880 with a chain of 6 gains per last-level parent
+
+
+def test_scan_tabulates_each_allowed_back_row_set_once(monkeypatch):
+    calls = _counted(monkeypatch, "_steps")
+    assert max_over_free(6, 5, 2).value == 15
+    assert calls[0] <= 6  # one per vertex; 32 tabulating every subset of the 5 vertices up front
+    calls[0] = 0
+    assert max_over_free(7, 2, 2).value == 11
+    assert calls[0] <= 64  # 59; 2,050 with one per parent at a full matching
 
 
 def test_degree_closure_counts_matchings_once_per_parent_vertex(monkeypatch):
