@@ -1,8 +1,11 @@
 """Exact matching numbers, bipartite maximum matching, and minimum vertex covers.
 
 General graphs get their matching number from Edmonds' blossom algorithm,
-polynomial up to the 64-vertex graph cap; whether a matching of a given size
-exists, the exhaustive oracle's per-edge test, is a small branch-and-bound.
+polynomial up to the 64-vertex graph cap: after a greedy start, each exposed
+vertex first tries the augmenting paths of length 3 by bit operations, and
+a blossom search that fails takes its whole tree out of every later search.
+Whether a matching of a given size exists, the exhaustive oracle's per-edge
+test, is a small branch-and-bound.
 Bipartite graphs use augmenting paths; the minimum cover is built from a
 given maximum matching by the standard alternating-reachability
 construction, so its size always equals the matching size.
@@ -15,9 +18,14 @@ from .graph import BipartiteGraph, Graph
 
 def _nu(adj) -> int:
     """Maximum matching size of the graph with 0-based rows ``adj``: a greedy
-    matching, then Edmonds' blossom search from each exposed root in turn, an
-    alternating tree whose odd cycles are contracted to one ``base``.  A root
-    without an augmenting path never gains one, so one pass suffices."""
+    matching, then one pass over the exposed roots.  A root first tries the
+    length-3 paths root - x = y - z by bit operations; only if none exists
+    does it grow Edmonds' blossom search, an alternating tree whose odd
+    cycles are contracted to one ``base``.  A tree that finds no augmenting
+    path (a Hungarian tree) meets no later one (Edmonds 1965), so all its
+    vertices leave ``alive`` and no later search enters them; a root without
+    an alive neighbour is skipped.  The exposed vertices stay independent, so
+    no path is shorter than 3."""
     n = len(adj)
     mate = [-1] * n
     free = (1 << n) - 1
@@ -29,18 +37,38 @@ def _nu(adj) -> int:
             mate[v], mate[w] = w, v
             free ^= 1 << v | 1 << w
             size += 1
+    alive = (1 << n) - 1
     for root in range(n):
         if size == n // 2:
             break
-        if mate[root] >= 0 or not adj[root]:
+        if mate[root] >= 0:
+            continue
+        near = adj[root] & alive
+        if not near:
+            continue
+        ends = free & alive ^ 1 << root
+        if not ends:  # no exposed vertex left for a path to end at
+            break
+        while near:  # root - x = y - z with z exposed
+            x = (near & -near).bit_length() - 1
+            near &= near - 1
+            y = mate[x]
+            z = adj[y] & ends
+            if z:
+                z = (z & -z).bit_length() - 1
+                mate[root], mate[x], mate[y], mate[z] = x, root, z, y
+                free ^= 1 << root | 1 << z
+                size += 1
+                break
+        if mate[root] >= 0:
             continue
         base = list(range(n))
         parent = [-1] * n
-        outer = 1 << root
+        outer = tree = 1 << root
         queue = [root]
         for v in queue:
-            nb = adj[v]
-            while nb and mate[root] < 0:
+            nb = adj[v] & alive
+            while nb:
                 w = (nb & -nb).bit_length() - 1
                 nb &= nb - 1
                 if base[v] == base[w] or mate[v] == w:
@@ -69,13 +97,20 @@ def _nu(adj) -> int:
                 elif parent[w] < 0:
                     parent[w] = v
                     if mate[w] >= 0:
+                        tree |= 1 << w | 1 << mate[w]
                         outer |= 1 << mate[w]
                         queue.append(mate[w])
                         continue
                     size += 1  # w is exposed: flip the augmenting path to the root
+                    free ^= 1 << root | 1 << w
                     while w >= 0:
                         u = parent[w]
                         mate[w], mate[u], w = u, w, mate[u]
+                    break
+            if mate[root] >= 0:
+                break
+        else:
+            alive &= ~tree  # a Hungarian tree: no later augmenting path meets it
     return size
 
 

@@ -398,7 +398,9 @@ def verify_shift_lemmas(
 
     Exhaustive mode (samples is None) covers all labeled graphs on 1..n and
     all pairs; random mode draws ``samples`` (graph, pair) instances with the
-    given edge probability from a seeded Mersenne Twister generator.
+    given edge probability from a seeded Mersenne Twister generator: one
+    ``random()`` per vertex pair in the order (1,2), (1,3), ..., (n-1,n),
+    set straight into the rows, then i and j.
 
     Laws: edge-count conservation; matching number never grows; clique counts
     (sizes 2..max_s) and star-pair counts (sides up to max_s, max_t) never
@@ -432,19 +434,21 @@ def verify_shift_lemmas(
         _check_vertex_count(n)
         if not 0.0 <= edge_prob <= 1.0:
             raise ValueError(f"edge probability must be in [0, 1], got {edge_prob}")
-        slots = _edge_slots(n)
         rng_seed = seed
         rng = random.Random(seed)
 
         def instances():
+            draw = rng.random
             for _ in range(samples):
-                mask = 0
-                for idx in range(len(slots)):
-                    if rng.random() < edge_prob:
-                        mask |= 1 << idx
+                rows = [0] * n
+                for u in range(n):
+                    for v in range(u + 1, n):
+                        if draw() < edge_prob:
+                            rows[u] |= 1 << v
+                            rows[v] |= 1 << u
                 i = rng.randrange(n - 1)
                 j = rng.randrange(i + 1, n)
-                yield _rows_from_mask(n, mask, slots), ((i, j),)
+                yield rows, ((i, j),)
 
     # (law, label, quantity, violated(before, after)), in report order per law
     laws = [

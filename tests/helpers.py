@@ -8,6 +8,10 @@ code path from the bitmask kernels they are used to check.
 ``ref_nu`` is the matching number from the oracle's feasibility test, a
 branch and bound that shares no code with the blossom routine it checks.
 
+``ref_random_instances`` draws random-mode shift instances as an edge mask
+over the slots, one draw per slot, so the oracle's row-by-row draw can be
+checked against it seed by seed.
+
 The reference scans are the straightforward exhaustive maxima the oracle's
 scans must reproduce: they recount the pattern at every leaf and score every
 biadjacency mask, with the same smallest-mask tie-break.  The reference law
@@ -17,6 +21,7 @@ before the degree test.
 """
 
 from itertools import combinations
+from random import Random
 
 from hypothesis import strategies as st
 
@@ -123,6 +128,32 @@ def ref_nu(adj):
     while _exists_matching(adj, full, r + 1):
         r += 1
     return r
+
+
+def ref_random_instances(n, samples, seed, edge_prob):
+    """The (rows, i, j) instances of a random-mode shift check: per sample an
+    edge mask built slot by slot in ``_edge_slots`` order, one ``random()``
+    draw per slot, then i and j drawn from the same generator."""
+    rng = Random(seed)
+    slots = _edge_slots(n)
+    instances = []
+    for _ in range(samples):
+        mask = 0
+        for idx in range(len(slots)):
+            if rng.random() < edge_prob:
+                mask |= 1 << idx
+        i = rng.randrange(n - 1)
+        j = rng.randrange(i + 1, n)
+        instances.append((_rows_from_mask(n, mask, slots), i, j))
+    return instances
+
+
+def toggle_shift(adj, i, j):
+    """A broken "shift" that flips the edge ij, so every law can fail."""
+    rows = list(adj)
+    rows[i] ^= 1 << j
+    rows[j] ^= 1 << i
+    return rows
 
 
 def ref_scan_free_max(n, k, s, t=None):

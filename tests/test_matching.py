@@ -110,6 +110,71 @@ def test_nu_matches_networkx():
         assert matching_number(_relabelled(n, edges, rng)) == expected, (n, edges)
 
 
+def _host_edges(s0, parts):
+    """(n, 0-based edges) of K_s0 joined to the disjoint cliques K_a, a in parts."""
+    n = s0 + sum(parts)
+    edges = [(u, v) for u in range(s0) for v in range(u + 1, n)]
+    start = s0
+    for a in parts:
+        edges += [(u, v) for u in range(start, start + a) for v in range(u + 1, start + a)]
+        start += a
+    return n, edges
+
+
+def test_nu_on_gallai_edmonds_hosts():
+    # K_s0 joined to q odd cliques: a root in a clique without a free partner
+    # grows a Hungarian tree of contracted cliques, which later roots skip,
+    # and the matching number is (n - max(q - s0, n % 2)) / 2 by Tutte-Berge
+    networkx = pytest.importorskip("networkx")
+    rng = Random(19)
+    for _ in range(60):
+        n = rng.randint(1, 64)
+        s0 = rng.randint(0, n // 3)
+        parts = []
+        while sum(parts) < n - s0:
+            cap = min(n - s0 - sum(parts), rng.choice((1, 3, 7, 15, 63)))
+            parts.append(rng.randrange(1, cap + 1, 2))
+        n, edges = _host_edges(s0, parts)
+        ref = networkx.Graph()
+        ref.add_nodes_from(range(n))
+        ref.add_edges_from(edges)
+        expected = len(networkx.max_weight_matching(ref, maxcardinality=True))
+        assert expected == (n - max(len(parts) - s0, n % 2)) // 2, (s0, parts)
+        assert matching_number(_relabelled(n, edges, rng)) == expected, (s0, parts)
+
+
+def _nu_of(n, edges):
+    rows = Graph.from_edges(n, [(u + 1, v + 1) for u, v in edges]).adj
+    return _nu(rows), ref_nu(rows)
+
+
+def test_nu_path_beside_a_failed_tree():
+    # greedy matches 0-1, 3-4, 5-6 and leaves 2, 7, 8 exposed.  Root 2's tree
+    # 2 - 0 = 1 fails and dies; root 7's only augmenting path
+    # 7 - 3 = 4 - 5 = 6 - 8 runs beside the dead inner vertex 0
+    edges = [(0, 1), (0, 2), (7, 3), (3, 4), (4, 5), (5, 6), (6, 8),
+             (0, 3), (0, 4), (0, 5), (0, 6)]
+    assert _nu_of(9, edges) == (4, 4)
+
+
+def test_nu_blossom_inside_a_failed_tree():
+    # greedy matches 0-1, 2-3, 5-6, 7-8 and leaves 4, 9, 10 exposed.  Root
+    # 4's tree 4 - 0 = 1 contracts the triangle 1 2 3, fails and dies whole;
+    # root 9's path 9 - 5 = 6 - 7 = 8 - 10 runs beside the dead vertex 0
+    edges = [(4, 0), (0, 1), (1, 2), (1, 3), (2, 3),
+             (9, 5), (5, 6), (6, 7), (7, 8), (8, 10),
+             (0, 5), (0, 6), (0, 7), (0, 8)]
+    assert _nu_of(11, edges) == (5, 5)
+
+
+def test_nu_path_through_a_successful_tree():
+    # greedy matches 0-1, 2-9, 3-5 and leaves 4, 6, 7, 8 exposed.  Root 4's
+    # search augments along 4 - 1 = 0 - 2 = 9 - 8 with 3 and 5 in its tree;
+    # that tree stays alive, and root 6 finishes on 6 - 5 = 3 - 7
+    edges = [(0, 1), (0, 2), (1, 4), (1, 8), (2, 9), (3, 5), (3, 7), (5, 6), (5, 9), (8, 9)]
+    assert _nu_of(10, edges) == (5, 5)
+
+
 def test_extremal_graph_matching_number_grid():
     for k in range(4):
         for ell in range(k + 1, 2 * k + 2):

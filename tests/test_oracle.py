@@ -10,10 +10,12 @@ from helpers import (
     bip_from_mask,
     graph_from_mask,
     graphs,
+    ref_random_instances,
     ref_scan_bip_max,
     ref_scan_free_max,
     ref_verify_bondy_chvatal,
     ref_verify_koenig_gstar,
+    toggle_shift,
 )
 from turanmatch import (
     CapacityError,
@@ -38,6 +40,7 @@ from turanmatch import (
 )
 from turanmatch.counting import _bip_sum, _clique_top_sum
 from turanmatch.matching import _cover_masks, _exists_matching, _nu
+from turanmatch.oracle import _edge_text
 
 
 def test_iter_free_graphs_matches_filtered_enumeration():
@@ -122,6 +125,30 @@ def test_verify_shift_lemmas_violation_text(monkeypatch):
         ("G={(1,2)} i=1 j=2: 2-cliques 1 -> 0", f"{full}: 2-cliques 6 -> 5"),
         ("G={(1,2)} i=1 j=2: star(1,1) 2 -> 0", f"{full}: star(2,1) 12 -> 6"),
     ]
+
+
+def test_verify_shift_lemmas_random_draw_is_pinned(monkeypatch):
+    # random mode names the instances of the slot-by-slot mask draw, so a seed
+    # keeps its graphs; the broken shift makes every instance report
+    monkeypatch.setattr("turanmatch.oracle._shift_adj", toggle_shift)
+    grown = 0
+    for n in (8, 14, 64):
+        for seed in (1, 29):
+            for prob in (0.1, 0.5):
+                edges, matching = [], []
+                for rows, i, j in ref_random_instances(n, 25, seed, prob):
+                    image = toggle_shift(rows, i, j)
+                    where = f"G={_edge_text(rows)} i={i + 1} j={j + 1}"
+                    m0, m1 = (sum(r.bit_count() for r in a) // 2 for a in (rows, image))
+                    edges.append(f"{where}: edges {m0} -> {m1}")
+                    nu0, nu1 = _nu(rows), _nu(image)
+                    if nu1 > nu0:
+                        matching.append(f"{where}: matching {nu0} -> {nu1}")
+                checks = verify_shift_lemmas(n, samples=25, edge_prob=prob, seed=seed,
+                                             include=("edges", "matching"))
+                assert [list(ch.violations) for ch in checks] == [edges, matching], (n, seed, prob)
+                grown += len(matching)
+    assert grown  # the matching law is reached, not only the edge count
 
 
 def test_verify_shift_lemmas_validation():
