@@ -18,14 +18,16 @@ from .graph import BipartiteGraph, Graph
 
 def _nu(adj) -> int:
     """Maximum matching size of the graph with 0-based rows ``adj``: a greedy
-    matching, then one pass over the exposed roots.  A root first tries the
-    length-3 paths root - x = y - z by bit operations; only if none exists
-    does it grow Edmonds' blossom search, an alternating tree whose odd
-    cycles are contracted to one ``base``.  A tree that finds no augmenting
-    path (a Hungarian tree) meets no later one (Edmonds 1965), so all its
-    vertices leave ``alive`` and no later search enters them; a root without
-    an alive neighbour is skipped.  The exposed vertices stay independent, so
-    no path is shorter than 3."""
+    matching, then one pass over the exposed roots in index order.  A root
+    first tries the length-3 paths root - x = y - z by bit operations; only
+    if none exists does it grow Edmonds' blossom search, an alternating tree
+    whose odd cycles are contracted to one ``base``.  A tree that finds no
+    augmenting path (a Hungarian tree) meets no later one (Edmonds 1965), so
+    all its vertices leave ``alive`` and no later search enters them; a root
+    without an alive neighbour is such a tree.  Each root leaves ``free`` or
+    ``alive``, and the pass ends when fewer than two exposed alive vertices
+    remain, since every augmenting path joins two.  The exposed vertices stay
+    independent, so no path is shorter than 3."""
     n = len(adj)
     mate = [-1] * n
     free = (1 << n) - 1
@@ -38,17 +40,13 @@ def _nu(adj) -> int:
             free ^= 1 << v | 1 << w
             size += 1
     alive = (1 << n) - 1
-    for root in range(n):
-        if size == n // 2:
-            break
-        if mate[root] >= 0:
-            continue
+    while (ends := free & alive) & ends - 1:  # two left for a path to join
+        root = (ends & -ends).bit_length() - 1
+        ends ^= 1 << root
         near = adj[root] & alive
         if not near:
+            alive ^= 1 << root  # a Hungarian tree of one vertex
             continue
-        ends = free & alive ^ 1 << root
-        if not ends:  # no exposed vertex left for a path to end at
-            break
         while near:  # root - x = y - z with z exposed
             x = (near & -near).bit_length() - 1
             near &= near - 1
