@@ -29,22 +29,30 @@ one ``grow`` mask per parent: the vertices b whose removal leaves a matching
 of the parent's size, so that a back-row raises the matching number exactly
 when it meets ``grow``.  A child that keeps the parent's matching number
 inherits the parent's ``grow`` and the parent itself, so only the other
-vertices are searched.  The pattern count is carried down, each back-row
-adding the copies through v, so no leaf is recounted, and the last vertex's
-back-rows are scored in a flat loop.  Copies never fall when edges are
-added, so a child's widest completion bounds every leaf under it: each
-parent above the last vertex tabulates that count for all its children at
-once, one direct count and one edge gain per back-row, and a child is
-skipped unless its entry beats the best or ties it with a smaller mask.  An
-entry equal to the child's own count, later vertices left isolated, makes
-that empty completion the subtree's best leaf.  Below a parent whose
-matching number is already k, ``grow`` only gains vertices, so every later
-vertex may join only the vertices outside the parent's ``grow``, the ones
-every maximum matching covers, and that is the widest completion;
-elsewhere each later vertex is joined to all others, by the same row build.
-The counts and the tables run one chain of edge gains over the allowed
-back-rows, tabulated once per scan for each allowed set, when first met.
-Children go widest back-row first, so a near-best graph sets the best early.
+vertices are searched; a child whose matching number grew searches only the
+parent's ``grow``, which holds all of its own.  The pattern count is carried
+down, each back-row adding the copies through v, so no leaf is recounted.
+Copies never fall when edges are added, so a child's widest completion
+bounds every leaf under it: where the matching bound prunes, each parent
+above the last vertex tabulates that count for all its children at once,
+one direct count and one edge gain per back-row, and a child is skipped
+unless its entry beats the best or ties it with a smaller mask.  An entry
+equal to the child's own count, later vertices left isolated, makes that
+empty completion the subtree's best leaf.  Below a parent whose matching
+number is already k, ``grow`` only gains vertices, so every later vertex may
+join only the vertices outside the parent's ``grow``, the ones every maximum
+matching covers, and that is the widest completion; elsewhere each later
+vertex is joined to all others, by the same row build.  The counts and the
+tables run one chain of edge gains over the allowed back-rows, tabulated
+once per scan for each allowed set, when first met.  Children go widest
+back-row first, so a near-best graph sets the best early.  Where no
+completion can exceed k, the widest child's widest completion is the
+parent's own, the same graph, so it takes the parent's entry and is walked
+first with no table; its count is one path of edge gains, and the parent
+then returns unless a back-row one vertex narrower, which holds every other
+child, ties the best.  The last vertex counts its widest allowed back-row,
+which has the most copies, by the same path, and scores the rest only when a
+back-row one vertex narrower ties it, for the smallest tied mask.
 The bipartite scan scores one member per orbit of X-row permutations, an
 ascending tuple of rows read from the most significant down, which is the
 orbit's smallest mask and shares its matching number and biclique count;
@@ -61,7 +69,7 @@ import operator
 import random
 from dataclasses import dataclass
 from functools import partial
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations, combinations_with_replacement, islice
 from math import comb
 
 from .counting import _bip_sum, _clique_gain, _clique_sum, _clique_top_sum
@@ -162,41 +170,42 @@ def _last_parents(n: int, k: int):
     each back-row in turn.  ``grow`` holds the b whose removal keeps nu (a
     blossom count on adj less b), so a back-row raises nu exactly when it
     meets ``grow``; a child that keeps nu inherits the parent's ``grow`` and
-    the parent, as in ``_scan_free_max``.  ``mask`` is adj's edge mask in the
+    the parent, and a child whose nu grew searches only the parent's
+    ``grow``, as in ``_scan_free_max``.  ``mask`` is adj's edge mask in the
     slot order of n vertices."""
     canon = _back_masks(n)
 
-    def rec(adj: list[int], nu: int, mask: int, known: int):
+    def rec(adj: list[int], nu: int, mask: int, known: int, maybe: int):
         v = len(adj)
         grow = known  # inherited from the parent, with the parent itself
-        for b in range(v):
-            if known >> b & 1:
-                continue
-            rest = [row & ~(1 << b) for row in adj]
-            rest[b] = 0
+        while maybe:  # the rest of grow lies in maybe
+            low = maybe & -maybe
+            maybe ^= low
+            rest = [row & ~low for row in adj]
+            rest[low.bit_length() - 1] = 0
             if _nu(rest) == nu:
-                grow |= 1 << b
+                grow |= low
         if v == n - 1:
             yield adj, nu, grow, mask
             return
         bit = 1 << v
+        kept = (bit - 1) & ~grow  # the vertices a child keeping nu must search
         for back in range(1 << v):
             if not back & grow:
-                yield from rec(_child(adj, back), nu, mask | canon[v][back], grow | bit)
-            elif nu < k:  # nu grows: the child's grow starts afresh
-                yield from rec(_child(adj, back), nu + 1, mask | canon[v][back], 0)
+                yield from rec(_child(adj, back), nu, mask | canon[v][back], grow | bit, kept)
+            elif nu < k:  # nu grows: the child's grow lies inside the parent's
+                yield from rec(_child(adj, back), nu + 1, mask | canon[v][back], 0, grow)
 
     if n:
-        yield from rec([], 0, 0, 0)
+        yield from rec([], 0, 0, 0, 0)
 
 
 def _back_masks(n: int) -> list[list[int]]:
     """canon[v][B]: the edge mask, in the lexicographic slot order of n
     vertices, of the edges from v back to the vertex set B below it."""
-    slots = _edge_slots(n)
     canon = [[0] for _ in range(n)]
     for v in range(1, n):
-        bits = [1 << slots.index((u, v)) for u in range(v)]
+        bits = [1 << u * (2 * n - u - 1) // 2 + v - u - 1 for u in range(v)]  # slot (u, v)
         table = canon[v] = [0] * (1 << v)
         for back in range(1, 1 << v):
             low = back & -back
@@ -225,22 +234,58 @@ def _chain(rows, steps, first, joined, s, t) -> list[int]:
     return counts
 
 
-def _completion_counts(adj, n, steps, s, t, reach=-1) -> list[int]:
-    """Pattern counts of the widest completions of the children of the
-    parent rows ``adj``: entry i has v = len(adj) take the back-row
-    backs[i] (``steps`` as ``_steps`` lists it over ``backs``).  Each later
-    vertex is joined to the vertices of ``reach`` but itself: by default to
-    all others; with ``reach`` below v, to those only, the widest completion
-    once the parent's matching number is k (``_scan_free_max``).  One direct
-    count with v's row empty of back-row bits, then one edge gain per
-    back-row."""
+def _completion_rows(adj, n, reach=-1) -> list[int]:
+    """The rows of the widest completion of the parent rows ``adj`` on n
+    vertices, v = len(adj) taking no back-row yet: each later vertex is
+    joined to the vertices of ``reach`` but itself, by default to all
+    others; with ``reach`` below v, to those only, the widest completion
+    once the parent's matching number is k (``_scan_free_max``)."""
     v = len(adj)
     full = (1 << n) - 1
     later = full ^ ((2 << v) - 1)
     rows = [row | later if reach >> u & 1 else row for u, row in enumerate(adj)]
     rows.append(reach & later)
     rows += [reach & ~(1 << z) & full for z in range(v + 1, n)]
-    return _chain(rows, steps, _clique_top_sum(rows, s, t), rows[v], s, t)
+    return rows
+
+
+def _completion_counts(adj, n, steps, s, t, reach=-1) -> list[int]:
+    """Pattern counts of the widest completions (``_completion_rows``) of
+    the children of the parent rows ``adj``: entry i has v = len(adj) take
+    the back-row backs[i] (``steps`` as ``_steps`` lists it over
+    ``backs``).  One direct count with v's row empty of back-row bits, then
+    one edge gain per back-row."""
+    rows = _completion_rows(adj, n, reach)
+    return _chain(rows, steps, _clique_top_sum(rows, s, t), rows[len(adj)], s, t)
+
+
+def _path_gain(adj, back, s, t) -> int:
+    """The copies through v = len(adj) gained as v takes the back-row
+    ``back`` below the parent rows ``adj``, one edge at a time: the path of
+    ``_chain`` to ``back``, one edge gain per vertex of it."""
+    total = 0
+    while back:
+        low = back & -back
+        back ^= low
+        total += _clique_gain(adj, adj[low.bit_length() - 1], back, s, t)
+    return total
+
+
+def _sibling_top(rows, allowed, joined, top, s, t) -> int:
+    """The largest count among the back-rows ``allowed`` less one vertex w
+    of a vertex v whose row is ``joined`` plus its back-row, given ``top``,
+    the count at ``allowed``: each is ``top`` less the copies through the
+    edge vw, read off ``rows`` (-1 when ``allowed`` is empty).  Copies never
+    fall when edges are added, and every other subset of ``allowed`` lies
+    inside one of them, so this bounds them all."""
+    most = -1
+    left = allowed
+    while left:
+        low = left & -left
+        left ^= low
+        gain = _clique_gain(rows, rows[low.bit_length() - 1], allowed ^ low | joined, s, t)
+        most = max(most, top - gain)
+    return most
 
 
 def _scan_free_max(n, k, s, t):
@@ -249,37 +294,53 @@ def _scan_free_max(n, k, s, t):
     Each vertex v is one DFS level that picks v's back-row B, the
     neighbours of v below it.  Over the back-rows of one parent the count
     grows as val[B] = val[B - w] + (copies through the edge vw), read off
-    the parent graph (``_chain``); the last vertex's back-rows are scored in
-    a flat loop, and its widest allowed back-row has the most copies.  The
-    allowed back-rows and their ``_steps`` come from one dict per scan, filled
-    when each allowed set is first met: building all 2^(n-1) sets up front
-    costs more than a small scan's walk.
+    the parent graph (``_chain``).  The allowed back-rows and their
+    ``_steps`` come from one dict per scan, filled when each allowed set is
+    first met: building all 2^(n-1) sets up front costs more than a small
+    scan's walk.
     The parent's ``grow`` mask holds each b whose removal leaves a matching
     of the parent's size nu: a back-row raises the matching number to nu + 1
     exactly when it meets ``grow``, so at nu = k only subsets of the other
-    vertices are visited.  ``grow`` is passed down as ``known``: a child
-    that keeps nu keeps every b in the parent's ``grow`` (the parent less b
-    has a nu-matching, and the child less b contains it) and v (the child
-    less v is the parent), so only its other vertices pay for a matching
-    search; a child whose nu grew starts afresh.  (Below a parent that skips
-    the searches, its children with its nu skip them too.)  Beside ``val``
-    each parent above the last vertex builds the table of its children's
-    widest completions (``_completion_counts``): copies never fall when
-    edges are added, and every leaf below keeps the child's mask bits, so a
-    child is skipped before its rows are built when that count is below the
-    best, or equal to it with a mask no smaller than the best's.  When it
-    equals the child's own count, later vertices isolated, that empty
-    completion is a best leaf of the subtree with its smallest mask, and it
-    is recorded in the subtree's place.  At nu = k, which above the last
-    vertex needs k < n // 2 and so the searches, every vertex below keeps
-    nu = k, so by inheritance each later vertex may join only the parent's
-    allowed vertices, never v nor another later vertex, and the table joins
-    it to exactly those (``reach`` = the allowed set); elsewhere each later
-    vertex is joined to all others (every vertex), by the same ``_chain``.
+    vertices are visited.  ``grow`` is passed down: a child that keeps nu
+    keeps every b in the parent's ``grow`` (the parent less b has a
+    nu-matching, and the child less b contains it) and v (the child less v
+    is the parent), so only its other vertices pay for a matching search.
+    A child whose nu grew searches only the parent's ``grow``: for x outside
+    it the parent less x has matching number nu - 1, so the child less x at
+    most nu, and the child less v is the parent.  (Below a parent that skips
+    the searches, no completion can exceed k, and its children skip them
+    too.)  Copies never fall when edges are added, and every leaf below
+    keeps the child's mask bits, so a child is skipped before its rows are
+    built when the count of its widest completion is below the best, or
+    equal to it with a mask no smaller than the best's.  When it equals the
+    child's own count, later vertices isolated, that empty completion is a
+    best leaf of the subtree with its smallest mask, and it is recorded in
+    the subtree's place.
+    Where the matching bound prunes (``bounded``), each parent above the
+    last vertex tabulates those counts for all its children
+    (``_completion_counts``).  At nu = k, which above the last vertex needs
+    k < n // 2 and so the searches, every vertex below keeps nu = k, so by
+    inheritance each later vertex may join only the parent's allowed
+    vertices, never v nor another later vertex, and the table joins it to
+    exactly those (``reach`` = the allowed set); elsewhere each later vertex
+    is joined to all others (every vertex), by the same ``_chain``.
     Children go widest back-row first, so a near-best graph sets the best
-    early.  A graph's mask is the OR of ``_back_masks`` entries along its
-    path, its edge mask in the lexicographic slot order, so the
-    smallest-mask witness is the edge-slot order's whatever the visit order.
+    early.  Where no completion can exceed k, a parent visits its widest
+    child first without a table: that child's widest completion, every
+    later vertex joined to all others, is the parent's own widest
+    completion, the same graph, so the parent's entry ``top`` is passed
+    down to it, and its count takes one path of edge gains
+    (``_path_gain``).  After its subtree the best is at least ``top``; every
+    other child lies inside the back-row ``allowed`` less some vertex, so
+    the parent returns when those entries (``_sibling_top``) are all below
+    the best, and otherwise walks the rest from the tables.  The last
+    vertex likewise counts its widest allowed back-row by one path, which
+    has the most copies: a parent whose count there is below the best
+    returns at once, and the whole chain is built only when a back-row one
+    vertex narrower ties it, to find the smallest tied mask.  A graph's mask
+    is the OR of ``_back_masks`` entries along its path, its edge mask in
+    the lexicographic slot order, so the smallest-mask witness is the
+    edge-slot order's whatever the visit order.
     """
     if not n:
         return 0, 0
@@ -289,7 +350,15 @@ def _scan_free_max(n, k, s, t):
     best_value = -1
     best_mask = 0
 
-    def rec(adj: list[int], nu: int, value: int, mask: int, known: int) -> None:
+    def tabulated(allowed):
+        if allowed not in subsets:
+            backs = [0]
+            while backs[-1] != allowed:
+                backs.append((backs[-1] - allowed) & allowed)
+            subsets[allowed] = backs, _steps(backs)
+        return subsets[allowed]
+
+    def rec(adj: list[int], nu: int, value: int, mask: int, known: int, maybe: int, top: int) -> None:
         nonlocal best_value, best_mask
         v = len(adj)
         below = (1 << v) - 1
@@ -297,44 +366,55 @@ def _scan_free_max(n, k, s, t):
         grow = 0
         if bounded:
             grow = known  # inherited from the parent, with the parent itself
-            left = below ^ known
-            while left:
-                low = left & -left
-                left ^= low
+            while maybe:  # the rest of grow lies in maybe
+                low = maybe & -maybe
+                maybe ^= low
                 if _exists_matching(adj, below ^ low, nu):
                     grow |= low
         allowed = below & ~grow if nu == k else below  # the back-rows keeping nu <= k
-        if allowed not in subsets:
-            backs = [0]
-            while backs[-1] != allowed:
-                backs.append((backs[-1] - allowed) & allowed)
-            subsets[allowed] = backs, _steps(backs)
-        backs, steps = subsets[allowed]
-        vals = _chain(adj, steps, base, 0, s, t)
         table = canon[v]
         if v == n - 1:
-            top = value + vals[-1]  # the widest allowed back-row's count
-            if top >= best_value:
-                low = mask | min(table[b] for b, x in zip(backs, vals) if value + x == top)
-                if top > best_value or low < best_mask:
-                    best_value, best_mask = top, low
+            widest = base + _path_gain(adj, allowed, s, t)  # the most copies v can add
+            if value + widest < best_value:
+                return
+            low = mask | table[allowed]
+            if _sibling_top(adj, allowed, 0, widest, s, t) == widest:  # keep the smallest tie
+                backs, steps = tabulated(allowed)
+                vals = _chain(adj, steps, base, 0, s, t)
+                low = mask | min(table[b] for b, x in zip(backs, vals) if x == widest)
+            if value + widest > best_value or low < best_mask:
+                best_value, best_mask = value + widest, low
             return
-        tops = _completion_counts(adj, n, steps, s, t, allowed if nu == k else -1)
+
+        def children():  # (back-row, its count, its widest completion's), widest first
+            first = 0
+            if not bounded:
+                yield allowed, base + _path_gain(adj, allowed, s, t), top
+                rows = _completion_rows(adj, n)
+                if _sibling_top(rows, allowed, rows[v], top, s, t) < best_value:
+                    return
+                first = 1
+            backs, steps = tabulated(allowed)
+            vals = _chain(adj, steps, base, 0, s, t)
+            tops = _completion_counts(adj, n, steps, s, t, allowed if nu == k else -1)
+            yield from islice(zip(reversed(backs), reversed(vals), reversed(tops)), first, None)
+
         empty = (n - v - 1) * base  # the copies later vertices add when isolated
-        for back, extra, top in zip(reversed(backs), reversed(vals), reversed(tops)):
+        kept = below & ~grow  # the vertices a child keeping nu must search
+        for back, extra, ctop in children():
             cmask = mask | table[back]
-            if top < best_value or (top == best_value and cmask >= best_mask):
+            if ctop < best_value or (ctop == best_value and cmask >= best_mask):
                 continue
-            if top == value + extra + empty:  # the empty completion is a best leaf
-                best_value, best_mask = top, cmask
+            if ctop == value + extra + empty:  # the empty completion is a best leaf
+                best_value, best_mask = ctop, cmask
                 continue
             child = _child(adj, back)
-            if back & grow:  # nu grows: the child's grow starts afresh
-                rec(child, nu + 1, value + extra, cmask, 0)
+            if back & grow:  # nu grows: the child's grow lies inside the parent's
+                rec(child, nu + 1, value + extra, cmask, 0, grow, ctop)
             else:
-                rec(child, nu, value + extra, cmask, grow | 1 << v)
+                rec(child, nu, value + extra, cmask, grow | 1 << v, kept, ctop)
 
-    rec([], 0, 0, 0, 0)
+    rec([], 0, 0, 0, 0, 0, _completion_counts([], n, [], s, t)[0])  # the root's entry: K_n
     return best_value, best_mask
 
 

@@ -38,7 +38,7 @@ from turanmatch import (
     verify_shift_lemmas,
     verify_shifted_structure,
 )
-from turanmatch.counting import _bip_sum, _clique_top_sum
+from turanmatch.counting import _bip_sum, _clique_gain, _clique_sum, _clique_top_sum
 from turanmatch.matching import _cover_masks, _exists_matching, _nu
 from turanmatch.oracle import _edge_text
 
@@ -104,13 +104,7 @@ def test_verify_shift_lemmas_random_embeds_seed():
 
 
 def test_verify_shift_lemmas_violation_text(monkeypatch):
-    def toggle(adj, i, j):  # a broken "shift" that flips the edge ij
-        rows = list(adj)
-        rows[i] ^= 1 << j
-        rows[j] ^= 1 << i
-        return rows
-
-    monkeypatch.setattr("turanmatch.oracle._shift_adj", toggle)
+    monkeypatch.setattr("turanmatch.oracle._shift_adj", toggle_shift)
     checks = verify_shift_lemmas(4, max_s=2, max_t=1)
     assert [(ch.name, ch.cases, len(ch.violations)) for ch in checks] == [
         ("edge-conservation", 384, 384),
@@ -665,6 +659,103 @@ def test_every_parent_tabulates_so_ties_stop_at_once(monkeypatch):
         w = max_over_free(*args)
         assert (w.value, w.graph.edges()) == (value, []), args
         assert calls[0] < limit, (args, calls[0])
+
+
+def test_unbounded_levels_walk_the_widest_child_without_tables(monkeypatch):
+    # where no completion can exceed k, each parent counts its widest child
+    # by one path of edge gains and bounds the other children by the
+    # back-rows one vertex narrower, so no table and no chain is built
+    gains = _counted(monkeypatch, "_clique_gain")
+    steps = _counted(monkeypatch, "_steps")
+    assert max_over_free(6, 5, 2, 3).value == 60
+    assert gains[0] <= 40 and steps[0] == 0  # 30 and 0; 83 and 6 with a table at every level
+    gains[0] = 0
+    assert max_over_free(7, 3, 3).value == 35
+    assert gains[0] <= 60  # 42; 177 with a table at every level
+
+
+def _bounds_nothing(rows, allowed, joined, top, s, t):  # every narrower back-row may tie top
+    return top
+
+
+def test_tied_siblings_fall_back_to_the_tables(monkeypatch):
+    # no scan tried has a back-row one vertex narrower than the widest that
+    # ties it; with a sibling bound and tables that prune nothing, every
+    # parent where no completion exceeds k walks its other children from the
+    # tables after the widest, and every last vertex scores its whole chain
+    # for the smallest tied mask
+    monkeypatch.setattr(oracle, "_sibling_top", _bounds_nothing)
+    monkeypatch.setattr(oracle, "_completion_counts", _unbounding_table)
+    for n in range(1, 7):
+        for k in range(n // 2 + 1):
+            for s, t in [(s, None) for s in range(1, n + 1)] + [(1, 2), (2, 2), (2, 3)]:
+                value, mask = ref_scan_free_max(n, k, s, t)
+                w = max_over_free(n, k, s, t)
+                assert (w.value, w.graph.edges()) == (value, graph_from_mask(n, mask).edges()), (n, k, s, t)
+
+
+def _joined_to_all(adj, n):
+    """``adj``'s rows with every later vertex, up to n, joined to all others."""
+    full = (1 << n) - 1
+    later = full ^ ((1 << len(adj)) - 1)
+    return [row | later for row in adj] + [full ^ 1 << z for z in range(len(adj), n)]
+
+
+@given(graphs(min_n=0, max_n=5), st.data())
+def test_widest_child_inherits_its_parents_entry(g, data):
+    # where no completion can exceed k every back-row is allowed, and the
+    # widest child's widest completion is the parent's own: the entry passed
+    # down is the table's last entry, the child's count is one path of
+    # gains, and each drop-one value is the table entry for the back-row less w
+    v = g.n
+    n = data.draw(st.integers(v + 2, 7))
+    s = data.draw(st.integers(1, 5))
+    t = data.draw(st.integers(0, 3))
+    below = (1 << v) - 1
+    top = _clique_top_sum(_joined_to_all(g.adj, n), s, t)  # the parent's entry
+    widest = oracle._child(g.adj, below)
+    tops = oracle._completion_counts(g.adj, n, oracle._steps(list(range(1 << v))), s, t)
+    assert top == _clique_top_sum(_joined_to_all(widest, n), s, t) == tops[below]
+    base = _clique_sum([], 0, 0, s - 1, t)
+    assert (_clique_top_sum(widest, s, t)
+            == _clique_top_sum(g.adj, s, t) + base + oracle._path_gain(g.adj, below, s, t))
+    rows = oracle._completion_rows(g.adj, n)
+    drops = [top - _clique_gain(rows, rows[w], below ^ 1 << w | rows[v], s, t) for w in range(v)]
+    assert drops == [tops[below ^ 1 << w] for w in range(v)]
+    assert oracle._sibling_top(rows, below, rows[v], top, s, t) == max(drops, default=-1)
+
+
+def test_grown_children_search_only_the_parents_grow(monkeypatch):
+    calls = _counted(monkeypatch, "_exists_matching")
+    assert max_over_free(7, 2, 2).value == 11
+    assert calls[0] <= 9_000  # 8,225; 10,527 searching every vertex of a child whose nu grew
+    calls = _counted(monkeypatch, "_nu")
+    assert verify_bondy_chvatal(6)[0].cases == 245_760
+    assert calls[0] <= 4_000  # 3,699; 4,528 searching every vertex of a child whose nu grew
+
+
+@given(graphs(min_n=0, max_n=6), st.data())
+def test_a_grown_childs_grow_lies_inside_its_parents(g, data):
+    # for x outside grow the parent less x has matching number nu - 1, so
+    # the child less x at most nu; the child less v is the parent itself
+    v = g.n
+    nu = _nu(g.adj)
+    grow = _grow(g.adj, nu)
+    back = data.draw(st.integers(0, (1 << v) - 1)) | (grow & -grow)
+    if back & grow:
+        child = oracle._child(g.adj, back)
+        assert _nu(child) == nu + 1
+        assert _grow(child, nu + 1) & ~grow == 0
+
+
+def test_back_masks_set_the_slot_of_each_back_edge():
+    for n in range(8):
+        slots = oracle._edge_slots(n)
+        canon = oracle._back_masks(n)
+        for v in range(n):
+            for back in range(1 << v):
+                expected = sum(1 << slots.index((u, v)) for u in range(v) if back >> u & 1)
+                assert canon[v][back] == expected, (n, v, back)
 
 
 def test_iter_free_graphs_checks_its_arguments_at_the_call():
