@@ -15,7 +15,7 @@ number already exceeds k is dropped with every completion, and a case's
 biclique counts are scored once per sorted row tuple, since permuting
 X-rows changes none.  The degree closure takes each parent of the last
 vertex from one vertex-row walk, which carries the matching number and
-``grow`` down as the general scan does, and picks the (back-row, pair)
+``grow`` down by the general scan's rule, and picks the (back-row, pair)
 tests meeting the degree sum in bulk, as sets of back-rows, before any
 matching test.
 
@@ -24,14 +24,10 @@ exceeds k, which discards only graphs whose every completion is also over
 the bound; when no completion can exceed k the feasibility test is skipped.
 The general scan walks vertex rows from the empty graph: each vertex v is
 one DFS level choosing v's back-row, its neighbours below v.  Since nu <= k is
-hereditary for induced subgraphs, the bound prunes at every vertex, through
-one ``grow`` mask per parent: the vertices b whose removal leaves a matching
-of the parent's size, so that a back-row raises the matching number exactly
-when it meets ``grow``.  A child that keeps the parent's matching number
-inherits the parent's ``grow`` and the parent itself, so only the other
-vertices are searched; a child whose matching number grew searches only the
-parent's ``grow``, which holds all of its own.  The pattern count is carried
-down, each back-row adding the copies through v, so no leaf is recounted.
+hereditary for induced subgraphs, the bound prunes at every vertex through
+the parent's ``grow`` mask, passed down by the rule of ``_child_grow`` that
+both vertex-row walks share.  The pattern count is carried down, each
+back-row adding the copies through v, so no leaf is recounted.
 Copies never fall when edges are added, so a child's widest completion
 bounds every leaf under it: where the matching bound prunes, each parent
 above the last vertex tabulates that count for all its children at once,
@@ -76,7 +72,7 @@ from .counting import _bip_sum, _clique_gain, _clique_sum, _clique_top_sum
 from .errors import CapacityError, ParameterRangeError
 from .extremal import ExtremalParams, bip_split_count, bip_split_count_sym
 from .graph import BipartiteGraph, Graph, _check_vertex_count, extremal_graph
-from .matching import _bip_augment, _bip_nu, _cover_masks, _exists_matching, _nu
+from .matching import _bip_augment, _bip_nu, _cover_masks, _exists_matching, _missable, _nu
 from .shifting import _shift_adj, shifted_graphs
 
 MAX_ORACLE_VERTICES = 7
@@ -164,40 +160,47 @@ def _child(adj: list[int], back: int) -> list[int]:
     return rows
 
 
+def _child_grow(adj: list[int], nu: int, pgrow: int) -> int:
+    """The ``grow`` mask of the rows ``adj`` with matching number nu, whose
+    newest vertex v = len(adj) - 1 joined a parent whose mask was ``pgrow``:
+    the vertices b whose removal leaves a matching of size nu
+    (``_missable``), so that a later vertex raises the matching number
+    exactly when its back-row meets the mask.  A child whose back-row meets
+    ``pgrow``, nu one above its parent's, searches only ``pgrow``: for x
+    outside it the parent less x has a matching number one below the
+    parent's, so the child less x falls short of nu, and the child less v is
+    the parent.  Any other child keeps ``pgrow`` (the parent less b has a
+    nu-matching, and the child less b contains it) and v (the child less v
+    is the parent), and searches only its other vertices.  The empty root
+    has mask 0."""
+    v = len(adj) - 1
+    if v < 0:
+        return 0
+    if adj[v] & pgrow:
+        return _missable(adj, nu, pgrow)
+    return pgrow | 1 << v | _missable(adj, nu, ((1 << v) - 1) & ~pgrow)
+
+
 def _last_parents(n: int, k: int):
     """(adj, nu, grow, mask) for each graph on n - 1 vertices with matching
     number nu <= k, walked by vertex rows: vertex v is one DFS level taking
-    each back-row in turn.  ``grow`` holds the b whose removal keeps nu (a
-    blossom count on adj less b), so a back-row raises nu exactly when it
-    meets ``grow``; a child that keeps nu inherits the parent's ``grow`` and
-    the parent, and a child whose nu grew searches only the parent's
-    ``grow``, as in ``_scan_free_max``.  ``mask`` is adj's edge mask in the
-    slot order of n vertices."""
+    each back-row in turn.  ``grow`` is ``_child_grow``'s mask, so a back-row
+    raises nu exactly when it meets ``grow``.  ``mask`` is adj's edge mask in
+    the slot order of n vertices."""
     canon = _back_masks(n)
 
-    def rec(adj: list[int], nu: int, mask: int, known: int, maybe: int):
+    def rec(adj: list[int], nu: int, mask: int, pgrow: int):
+        grow = _child_grow(adj, nu, pgrow)
         v = len(adj)
-        grow = known  # inherited from the parent, with the parent itself
-        while maybe:  # the rest of grow lies in maybe
-            low = maybe & -maybe
-            maybe ^= low
-            rest = [row & ~low for row in adj]
-            rest[low.bit_length() - 1] = 0
-            if _nu(rest) == nu:
-                grow |= low
         if v == n - 1:
             yield adj, nu, grow, mask
             return
-        bit = 1 << v
-        kept = (bit - 1) & ~grow  # the vertices a child keeping nu must search
         for back in range(1 << v):
-            if not back & grow:
-                yield from rec(_child(adj, back), nu, mask | canon[v][back], grow | bit, kept)
-            elif nu < k:  # nu grows: the child's grow lies inside the parent's
-                yield from rec(_child(adj, back), nu + 1, mask | canon[v][back], 0, grow)
+            if nu < k or not back & grow:
+                yield from rec(_child(adj, back), nu + 1 if back & grow else nu, mask | canon[v][back], grow)
 
     if n:
-        yield from rec([], 0, 0, 0, 0)
+        yield from rec([], 0, 0, 0)
 
 
 def _back_masks(n: int) -> list[list[int]]:
@@ -298,24 +301,16 @@ def _scan_free_max(n, k, s, t):
     ``_steps`` come from one dict per scan, filled when each allowed set is
     first met: building all 2^(n-1) sets up front costs more than a small
     scan's walk.
-    The parent's ``grow`` mask holds each b whose removal leaves a matching
-    of the parent's size nu: a back-row raises the matching number to nu + 1
-    exactly when it meets ``grow``, so at nu = k only subsets of the other
-    vertices are visited.  ``grow`` is passed down: a child that keeps nu
-    keeps every b in the parent's ``grow`` (the parent less b has a
-    nu-matching, and the child less b contains it) and v (the child less v
-    is the parent), so only its other vertices pay for a matching search.
-    A child whose nu grew searches only the parent's ``grow``: for x outside
-    it the parent less x has matching number nu - 1, so the child less x at
-    most nu, and the child less v is the parent.  (Below a parent that skips
-    the searches, no completion can exceed k, and its children skip them
-    too.)  Copies never fall when edges are added, and every leaf below
-    keeps the child's mask bits, so a child is skipped before its rows are
-    built when the count of its widest completion is below the best, or
-    equal to it with a mask no smaller than the best's.  When it equals the
-    child's own count, later vertices isolated, that empty completion is a
-    best leaf of the subtree with its smallest mask, and it is recorded in
-    the subtree's place.
+    A back-row raises the matching number exactly when it meets the parent's
+    ``grow`` (``_child_grow``), so at nu = k only subsets of the other
+    vertices are visited; a parent where no completion can exceed k, and
+    so each of its children, skips ``grow``.  Copies never fall when edges
+    are added, and every leaf below keeps the child's mask bits, so a child
+    is skipped before its rows are built when the count of its widest
+    completion is below the best, or equal to it with a mask no smaller
+    than the best's.  When it equals the child's own count, later vertices
+    isolated, that empty completion is a best leaf of the subtree with its
+    smallest mask, and it is recorded in the subtree's place.
     Where the matching bound prunes (``bounded``), each parent above the
     last vertex tabulates those counts for all its children
     (``_completion_counts``).  At nu = k, which above the last vertex needs
@@ -358,19 +353,12 @@ def _scan_free_max(n, k, s, t):
             subsets[allowed] = backs, _steps(backs)
         return subsets[allowed]
 
-    def rec(adj: list[int], nu: int, value: int, mask: int, known: int, maybe: int, top: int) -> None:
+    def rec(adj: list[int], nu: int, value: int, mask: int, pgrow: int, top: int) -> None:
         nonlocal best_value, best_mask
         v = len(adj)
         below = (1 << v) - 1
         bounded = k < min(nu + n - v, n // 2)  # else no completion exceeds k
-        grow = 0
-        if bounded:
-            grow = known  # inherited from the parent, with the parent itself
-            while maybe:  # the rest of grow lies in maybe
-                low = maybe & -maybe
-                maybe ^= low
-                if _exists_matching(adj, below ^ low, nu):
-                    grow |= low
+        grow = _child_grow(adj, nu, pgrow) if bounded else 0
         allowed = below & ~grow if nu == k else below  # the back-rows keeping nu <= k
         table = canon[v]
         if v == n - 1:
@@ -400,7 +388,6 @@ def _scan_free_max(n, k, s, t):
             yield from islice(zip(reversed(backs), reversed(vals), reversed(tops)), first, None)
 
         empty = (n - v - 1) * base  # the copies later vertices add when isolated
-        kept = below & ~grow  # the vertices a child keeping nu must search
         for back, extra, ctop in children():
             cmask = mask | table[back]
             if ctop < best_value or (ctop == best_value and cmask >= best_mask):
@@ -408,13 +395,9 @@ def _scan_free_max(n, k, s, t):
             if ctop == value + extra + empty:  # the empty completion is a best leaf
                 best_value, best_mask = ctop, cmask
                 continue
-            child = _child(adj, back)
-            if back & grow:  # nu grows: the child's grow lies inside the parent's
-                rec(child, nu + 1, value + extra, cmask, 0, grow, ctop)
-            else:
-                rec(child, nu, value + extra, cmask, grow | 1 << v, kept, ctop)
+            rec(_child(adj, back), nu + 1 if back & grow else nu, value + extra, cmask, grow, ctop)
 
-    rec([], 0, 0, 0, 0, 0, _completion_counts([], n, [], s, t)[0])  # the root's entry: K_n
+    rec([], 0, 0, 0, 0, _completion_counts([], n, [], s, t)[0])  # the root's entry: K_n
     return best_value, best_mask
 
 
@@ -585,14 +568,12 @@ def verify_bondy_chvatal(n: int) -> list[Check]:
     if both endpoint degrees sum to at least 2k+1 the matching number must
     not have grown.  Each graph's non-edge slots are its cases.  The parents
     of the last vertex come from the vertex-row walk ``_last_parents``, with
-    their matching number and ``grow`` mask, so a back-row raises the
-    matching number exactly when it meets ``grow``.  Each parent picks its
-    matching tests in bulk (``_closure_tests``): per pair, the back-rows
-    whose child meets the degree test form one integer, bit B for back-row
-    B, read off tables made once per n, so only those (back-row, pair)
-    tests pay for the matching test, and each child's rows are built once,
-    at its first test.  Violations are reported in ascending edge mask, then
-    slot, order.
+    their matching number and ``grow`` mask.  Each parent picks its matching
+    tests in bulk (``_closure_tests``): per pair, the back-rows whose child
+    meets the degree test form one integer, bit B for back-row B, read off
+    tables made once per n, so only those (back-row, pair) tests pay for the
+    matching test, and each child's rows are built once, at its first test.
+    Violations are reported in ascending edge mask, then slot, order.
     """
     if n > MAX_ORACLE_VERTICES:
         raise CapacityError(f"capped at n <= {MAX_ORACLE_VERTICES}")

@@ -130,6 +130,17 @@ def ref_nu(adj):
     return r
 
 
+def ref_grow(adj, nu):
+    """The vertices b whose removal leaves a matching of size nu, by blossom."""
+    grow = 0
+    for b in range(len(adj)):
+        rest = [row & ~(1 << b) for row in adj]
+        rest[b] = 0
+        if _nu(rest) == nu:
+            grow |= 1 << b
+    return grow
+
+
 def ref_random_instances(n, samples, seed, edge_prob):
     """The (rows, i, j) instances of a random-mode shift check: per sample an
     edge mask built slot by slot in ``_edge_slots`` order, one ``random()``

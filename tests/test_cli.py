@@ -93,6 +93,8 @@ def test_cover_output(tmp_path, capsys):
     bad.write_text("3 1\n1 2\n")
     code, _, err = run(capsys, "cover", "--input", str(bad), "--bipartite", "2,1")
     assert code == 2 and "across" in err
+    code, out, err = run(capsys, "cover", "--input", str(path), "--bipartite", "2,2")
+    assert (code, out, err) == (2, "", "error: file has 3 vertices, parts declare 2+2\n")
     for parts in ("+2,1", "2,+1", "-1,4", "02,1", " 2,1", "2,1 ", "2", "2,1,0", "a,b", "2_0,1"):
         code, out, err = run(capsys, "cover", "--input", str(path), f"--bipartite={parts}")
         assert code == 2 and out == "" and err == "error: --bipartite expects nx,ny\n", parts
@@ -252,6 +254,31 @@ def test_verify_failure_exit_code(capsys, monkeypatch):
     monkeypatch.setattr("turanmatch.cli.oracle.max_over_free", fake)
     code, out, _ = run(capsys, "verify", "thm11", "--n", "5", "--k", "1")
     assert code == 1 and out.startswith("FAIL") and "witness=" in out
+
+
+def test_verify_failure_prints_a_bipartite_witness(capsys, monkeypatch):
+    from turanmatch import oracle
+
+    original = oracle.max_over_free_bip
+
+    def fake(*args):
+        witness = original(*args)
+        return oracle.Witness(witness.graph, witness.value + 1, witness.params)
+
+    monkeypatch.setattr("turanmatch.cli.oracle.max_over_free_bip", fake)
+    assert run(capsys, "verify", "thm14", "--n", "2", "--k", "1", "--s", "1", "--t", "2") == (
+        1, "FAIL max-bicliques-vs-formula cases=1 violations=1\n"
+           "  oracle=2 formula=1 witness=X=2,Y=2,E=[(1, 1), (1, 2)]\n", "")
+
+
+def test_verify_lemma32_fails_when_a_graph_fits_no_host(capsys, monkeypatch):
+    def narrowed(n, k, ell):  # K_2k ∪ E in place of K_(2k+1) ∪ E
+        return extremal_graph(n, k, min(ell, 2 * k))
+
+    monkeypatch.setattr("turanmatch.oracle.extremal_graph", narrowed)
+    assert run(capsys, "verify", "lemma32", "--n", "5", "--k", "1") == (
+        1, "FAIL shifted-subgraph-cover cases=5 violations=1\n"
+           "  G={(1,2) (1,3) (2,3)} fits no host, k=1\n", "")
 
 
 def test_byte_identical_reruns(capsys):

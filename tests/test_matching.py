@@ -2,8 +2,9 @@ from random import Random
 
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
-from helpers import all_graphs, bip_from_mask, bip_graphs, graphs, ref_nu
+from helpers import all_graphs, bip_from_mask, bip_graphs, graphs, ref_grow, ref_nu
 from turanmatch import (
     BipartiteGraph,
     CapacityError,
@@ -16,7 +17,7 @@ from turanmatch import (
     koenig_cover,
     matching_number,
 )
-from turanmatch.matching import _nu
+from turanmatch.matching import _missable, _nu
 
 
 def _complete_bip(nx, ny):
@@ -141,6 +142,40 @@ def test_nu_on_gallai_edmonds_hosts():
         expected = len(networkx.max_weight_matching(ref, maxcardinality=True))
         assert expected == (n - max(len(parts) - s0, n % 2)) // 2, (s0, parts)
         assert matching_number(_relabelled(n, edges, rng)) == expected, (s0, parts)
+
+
+@given(graphs(min_n=0, max_n=8), st.data())
+def test_missable_vertices_keep_the_matching_number_when_removed(g, data):
+    nu = _nu(g.adj)
+    maybe = data.draw(st.integers(0, (1 << g.n) - 1))
+    missed = ref_grow(g.adj, nu)
+    assert _missable(g.adj, nu, (1 << g.n) - 1) == missed
+    assert _missable(g.adj, nu, maybe) == missed & maybe
+
+
+def test_missable_on_gallai_edmonds_hosts():
+    # K_s0 joined to q odd cliques, relabelled: with q > s0 every maximum
+    # matching covers K_s0, and each clique vertex is missed by one, so the
+    # missable vertices are exactly those outside K_s0 (the D set)
+    rng = Random(23)
+    for _ in range(300):
+        parts = []
+        while not parts or rng.random() < 0.5:
+            parts.append(rng.choice((1, 1, 3, 5)))
+        s0 = rng.randint(0, 3)
+        n, edges = _host_edges(s0, parts)
+        if n > 8:
+            continue
+        label = rng.sample(range(n), n)
+        adj = [0] * n
+        for u, v in edges:
+            adj[label[u]] |= 1 << label[v]
+            adj[label[v]] |= 1 << label[u]
+        nu = _nu(adj)
+        missable = _missable(adj, nu, (1 << n) - 1)
+        assert missable == ref_grow(adj, nu), (s0, parts)
+        if len(parts) > s0:
+            assert missable == sum(1 << label[x] for x in range(s0, n)), (s0, parts)
 
 
 def _nu_of(n, edges):

@@ -12,6 +12,7 @@ from helpers import (
     graphs,
     ref_random_instances,
     ref_scan_bip_max,
+    ref_grow,
     ref_scan_free_max,
     ref_verify_bondy_chvatal,
     ref_verify_koenig_gstar,
@@ -28,6 +29,7 @@ from turanmatch import (
     count_star,
     ex_bip,
     ex_clique,
+    extremal_graph,
     iter_free_graphs,
     matching_number,
     max_over_free,
@@ -65,6 +67,12 @@ def test_witnesses_are_valid():
         assert matching_number(w.graph) <= k
         recount = count_cliques(w.graph, s) if t is None else count_star(w.graph, s, t)
         assert recount == w.value
+
+
+def test_max_over_free_on_no_vertices():
+    for k, s, t in ((0, 1, None), (2, 2, None), (0, 1, 3)):
+        w = max_over_free(0, k, s, t)
+        assert (w.value, w.graph, w.params.t) == (0, Graph(0), t)
 
 
 def test_max_over_free_capacity_and_arguments():
@@ -170,6 +178,23 @@ def test_verify_shifted_structure_small():
         (check,) = verify_shifted_structure(n, k)
         assert check.ok
         assert check.cases > 0
+
+
+def _without_the_widest_host(n, k, ell):  # K_2k ∪ E in place of K_(2k+1) ∪ E
+    return extremal_graph(n, k, min(ell, 2 * k))
+
+
+def test_verify_shifted_structure_violation_text(monkeypatch):
+    # with its widest host narrowed, the triangle fits none at k = 1
+    monkeypatch.setattr("turanmatch.oracle.extremal_graph", _without_the_widest_host)
+    (check,) = verify_shifted_structure(5, 1)
+    assert (check.cases, check.violations) == (5, ("G={(1,2) (1,3) (2,3)} fits no host, k=1",))
+    (check,) = verify_shifted_structure(7, 3)
+    assert (check.cases, len(check.violations)) == (35, 10)
+    assert check.violations[0] == (
+        "G={(1,2) (1,3) (1,4) (1,5) (1,6) (1,7) (2,3) (2,4) (2,5) (2,6) (2,7) (3,4) (3,5) (3,6) (4,5)} "
+        "fits no host, k=3"
+    )
 
 
 def test_verify_shifted_structure_rejects_unverified_regime():
@@ -370,8 +395,8 @@ def test_verify_koenig_gstar_cases_cover_every_graph():
             assert cases == [1, 104, 2912, 24696, 37823]
 
 
-def test_verify_koenig_gstar_prunes_row_prefixes(monkeypatch):
-    augments = _counted(monkeypatch, "_bip_augment")
+def test_verify_koenig_gstar_prunes_row_prefixes(counted):
+    augments = counted("_bip_augment")
     assert verify_koenig_gstar(4, 4, 1)[0].cases == 104
     assert augments[0] < 2_500  # 516 with pruning; 72,609 filling every row prefix
 
@@ -414,64 +439,76 @@ def test_pruned_seven_vertex_scans_match_reference():
         assert (w.value, w.graph.edges()) == expected, (k, s, t)
 
 
-def test_vertex_scan_tests_matchings_once_per_parent_vertex(monkeypatch):
-    calls = 0
+@pytest.fixture
+def counted(monkeypatch):
+    """``counted(name, weigh=None)`` wraps ``turanmatch.oracle.<name>`` and
+    returns a list holding its call count, or the sum of ``weigh(*args)``
+    over its calls.  Each count must be positive by the end of the test: a
+    count of a function the code no longer calls reads 0 and passes any
+    upper bound."""
+    totals = {}
 
-    def counted(*args):
-        nonlocal calls
-        calls += 1
-        return _exists_matching(*args)
+    def wrap(name, weigh=None):
+        calls = [0]
+        inner = getattr(oracle, name)
 
-    monkeypatch.setattr("turanmatch.oracle._exists_matching", counted)
+        def counting(*args):
+            step = 1 if weigh is None else weigh(*args)
+            calls[0] += step
+            totals[name] += step
+            return inner(*args)
+
+        totals[name] = 0
+        monkeypatch.setattr(oracle, name, counting)
+        return calls
+
+    yield wrap
+    assert all(totals.values()), f"counted nothing: {totals}"
+
+
+def _probes(counted):
+    """The grow probes of both row walks, one per vertex ``_missable`` tests."""
+    return counted("_missable", lambda adj, r, maybe: maybe.bit_count())
+
+
+def test_vertex_scan_tests_matchings_once_per_parent_vertex(counted):
+    probes = _probes(counted)
     max_over_free(7, 2, 2)
-    assert calls < 60_000  # 122,293 tests for the edge-slot scan, one per added edge
+    assert probes[0] < 60_000  # 122,293 tests for the edge-slot scan, one per added edge
 
 
-def _counted(monkeypatch, name):
-    """Wrap ``turanmatch.oracle.<name>``; the returned list holds the call count."""
-    calls = [0]
-    inner = getattr(oracle, name)
-
-    def counted(*args):
-        calls[0] += 1
-        return inner(*args)
-
-    monkeypatch.setattr(oracle, name, counted)
-    return calls
-
-
-def test_last_vertex_bound_skips_most_leaf_tables(monkeypatch):
-    calls = _counted(monkeypatch, "_clique_gain")
+def test_last_vertex_bound_skips_most_leaf_tables(counted):
+    calls = counted("_clique_gain")
     assert max_over_free(6, 5, 2).value == 15
     assert calls[0] < 12_000  # 32,767 when every parent builds its 2^5 table
 
 
-def test_last_vertex_bound_comes_before_the_matching_tests(monkeypatch):
-    calls = _counted(monkeypatch, "_exists_matching")
+def test_last_vertex_bound_comes_before_the_matching_tests(counted):
+    probes = _probes(counted)
     assert max_over_free(7, 2, 2, 2).value == 30
-    assert calls[0] < 20_000  # 51,918 when every last-level parent builds its grow mask
+    assert probes[0] < 20_000  # 51,918 when every last-level parent builds its grow mask
 
 
-def test_completion_bound_prunes_above_the_last_vertex(monkeypatch):
-    calls = _counted(monkeypatch, "_clique_gain")
+def test_completion_bound_prunes_above_the_last_vertex(counted):
+    calls = counted("_clique_gain")
     assert max_over_free(7, 3, 3).value == 35
     assert calls[0] < 1_000  # 311; 234,982 when only the last vertex is bounded
 
 
-def test_loose_bound_skipped_when_it_cannot_prune(monkeypatch):
-    calls = _counted(monkeypatch, "_clique_gain")
+def test_loose_bound_skipped_when_it_cannot_prune(counted):
+    calls = counted("_clique_gain")
     assert max_over_free(7, 1, 2).value == 6
     assert calls[0] < 1_000  # 445; 1,597 with every last vertex bounded before its matching tests
 
 
-def test_child_table_cuts_the_last_level_chains(monkeypatch):
-    calls = _counted(monkeypatch, "_clique_gain")
+def test_child_table_cuts_the_last_level_chains(counted):
+    calls = counted("_clique_gain")
     assert max_over_free(7, 2, 2).value == 11
     assert calls[0] <= 25_000  # 21,091; 60,880 with a chain of 6 gains per last-level parent
 
 
-def test_scan_tabulates_each_allowed_back_row_set_once(monkeypatch):
-    calls = _counted(monkeypatch, "_steps")
+def test_scan_tabulates_each_allowed_back_row_set_once(counted):
+    calls = counted("_steps")
     assert max_over_free(6, 5, 2).value == 15
     assert calls[0] <= 6  # one per vertex; 32 tabulating every subset of the 5 vertices up front
     calls[0] = 0
@@ -479,11 +516,11 @@ def test_scan_tabulates_each_allowed_back_row_set_once(monkeypatch):
     assert calls[0] <= 64  # 59; 2,050 with one per parent at a full matching
 
 
-def test_degree_closure_counts_matchings_once_per_parent_vertex(monkeypatch):
-    calls = _counted(monkeypatch, "_nu")
+def test_degree_closure_counts_matchings_once_per_parent_vertex(counted):
+    probes = _probes(counted)
     (check,) = verify_bondy_chvatal(6)
     assert (check.cases, check.violations) == (245_760, ())
-    assert calls[0] <= 6_000  # 5,405 = v calls per parent on v < 6 vertices; 32,768 with one per graph
+    assert probes[0] <= 6_000  # 5,405 = v calls per parent on v < 6 vertices; 32,768 with one per graph
 
 
 def test_degree_filter_selects_the_same_matching_tests(monkeypatch):
@@ -510,7 +547,7 @@ def test_closure_tests_are_the_degree_tests_of_each_back_row(g):
     # every B meeting grow passes
     v = g.n
     nu = _nu(g.adj)
-    grow = _grow(g.adj, nu)
+    grow = ref_grow(g.adj, nu)
     tests = oracle._closure_tests(g.adj, nu, grow, oracle._closure_tables(v))
     got = {(back, u, w) for u, w, backs in tests for back in range(1 << v) if backs >> back & 1}
     assert all(backs for _, _, backs in tests)
@@ -553,15 +590,17 @@ def test_completion_table_counts_each_completed_child(g, data):
         assert top == _clique_top_sum(rows, s, t), (back, s, t)
 
 
-def _grow(adj, nu):
-    """The vertices b whose removal leaves a matching of size nu, by blossom."""
-    grow = 0
-    for b in range(len(adj)):
-        rest = [row & ~(1 << b) for row in adj]
-        rest[b] = 0
-        if _nu(rest) == nu:
-            grow |= 1 << b
-    return grow
+@given(graphs(min_n=0, max_n=6))
+def test_child_grow_is_each_childs_grow_afresh(g):
+    # on every back-row of the parent, the mask both row walks pass down
+    # equals the child's own, found by blossom on the child less each vertex
+    assert oracle._child_grow([], 0, 0) == 0  # the empty root
+    nu = _nu(g.adj)
+    grow = ref_grow(g.adj, nu)
+    for back in range(1 << g.n):
+        child = oracle._child(g.adj, back)
+        child_nu = _nu(child)
+        assert oracle._child_grow(child, child_nu, grow) == ref_grow(child, child_nu), back
 
 
 @given(graphs(min_n=0, max_n=6), st.data())
@@ -570,13 +609,13 @@ def test_grow_inherits_the_parents_grow_and_the_new_vertex(g, data):
     # removal left the parent a maximum matching, and the new vertex v
     v = g.n
     nu = _nu(g.adj)
-    grow = _grow(g.adj, nu)
+    grow = ref_grow(g.adj, nu)
     back = data.draw(st.integers(0, (1 << v) - 1))
     child = [row | (back >> u & 1) << v for u, row in enumerate(g.adj)] + [back]
     child_nu = _nu(child)
     assert child_nu == nu + (1 if back & grow else 0)
     if child_nu == nu:
-        assert (grow | 1 << v) & ~_grow(child, nu) == 0
+        assert (grow | 1 << v) & ~ref_grow(child, nu) == 0
 
 
 @given(graphs(min_n=1, max_n=5), st.data())
@@ -590,7 +629,7 @@ def test_matching_aware_table_bounds_every_leaf_below_a_full_parent(g, data):
     n = data.draw(st.integers(max(v + 2, 2 * k + 2), 7))
     s = data.draw(st.integers(1, 5))
     t = data.draw(st.integers(0, 3))
-    reach = ((1 << v) - 1) & ~_grow(g.adj, k)
+    reach = ((1 << v) - 1) & ~ref_grow(g.adj, k)
     backs = [b for b in range(1 << v) if b & ~reach == 0]
     tops = oracle._completion_counts(g.adj, n, oracle._steps(backs), s, t, reach)
     later = ((1 << n) - 1) ^ ((2 << v) - 1)
@@ -603,43 +642,43 @@ def test_matching_aware_table_bounds_every_leaf_below_a_full_parent(g, data):
     i = data.draw(st.integers(0, len(backs) - 1))
     leaf = [row | (backs[i] >> u & 1) << v for u, row in enumerate(g.adj)] + [backs[i]]
     for z in range(v + 1, n):  # each later vertex a random back-row keeping nu = k
-        allowed = ((1 << z) - 1) & ~_grow(leaf, k)
+        allowed = ((1 << z) - 1) & ~ref_grow(leaf, k)
         back = data.draw(st.integers(0, allowed)) & allowed
         leaf = [row | (back >> u & 1) << z for u, row in enumerate(leaf)] + [back]
     assert _nu(leaf) == k
     assert _clique_top_sum(leaf, s, t) <= tops[i], (backs[i], s, t)
 
 
-def test_full_parents_bound_their_subtrees_by_their_matching(monkeypatch):
-    calls = _counted(monkeypatch, "_exists_matching")
+def test_full_parents_bound_their_subtrees_by_their_matching(counted):
+    probes = _probes(counted)
     assert max_over_free(7, 2, 2).value == 11
-    assert calls[0] < 15_000  # 10,527; 31,038 with grow afresh at every node and the loose table
+    assert probes[0] < 15_000  # 10,527; 31,038 with grow afresh at every node and the loose table
 
 
-def test_koenig_check_carries_its_matching_down_the_rows(monkeypatch):
-    augments = _counted(monkeypatch, "_bip_augment")
+def test_koenig_check_carries_its_matching_down_the_rows(counted):
+    augments = counted("_bip_augment")
     assert verify_koenig_gstar(4, 4, 1)[0].cases == 104
     # 516: one probe per Y-vertex at each fill node, then one search per row
     # that meets the probed set; 1,824 with one search per row filled
     assert augments[0] < 1_000
-    counts = _counted(monkeypatch, "_bip_sum")
+    counts = counted("_bip_sum")
     assert verify_koenig_gstar(4, 4, 2)[0].cases == 2912
     # 1,002 = 3 per cover and 3 per sorted row tuple (28 and 306 of them);
     # 8,820 scoring each case, 17,472 scoring each case's host again
     assert counts[0] <= 1_100
 
 
-def test_degree_closure_inherits_the_parents_grow(monkeypatch):
-    calls = _counted(monkeypatch, "_nu")
+def test_degree_closure_inherits_the_parents_grow(counted):
+    probes = _probes(counted)
     assert verify_bondy_chvatal(6)[0].cases == 245_760
-    assert calls[0] <= 4_800  # 4,528; 5,405 with grow afresh at every node
+    assert probes[0] <= 4_800  # 4,528; 5,405 with grow afresh at every node
 
 
-def test_tied_tasks_stop_at_the_empty_completion(monkeypatch):
+def test_tied_tasks_stop_at_the_empty_completion(counted):
     # where every completion ties, a child's table entry equals its own
     # count with later vertices isolated, so the scan records that empty
     # completion instead of walking the ties below it
-    calls = _counted(monkeypatch, "_clique_gain")
+    calls = counted("_clique_gain")
     for args, value, limit in (((7, 3, 1), 7, 1_000),     # 0; 8,100 walking the ties
                                ((7, 2, 4, 3), 0, 2_700),  # 2,043; 3,408
                                ((7, 2, 1), 7, 2_700)):    # 1,983; 3,354
@@ -649,10 +688,10 @@ def test_tied_tasks_stop_at_the_empty_completion(monkeypatch):
         assert calls[0] < limit, (args, calls[0])
 
 
-def test_every_parent_tabulates_so_ties_stop_at_once(monkeypatch):
+def test_every_parent_tabulates_so_ties_stop_at_once(counted):
     # with a table at every level above the last vertex, the root's single
     # child already ties its entry, and a tie found deeper is not walked
-    calls = _counted(monkeypatch, "_clique_gain")
+    calls = counted("_clique_gain")
     for args, value, limit in (((7, 2, 1), 7, 1),         # 0; 1,983 with tables only at some levels
                                ((7, 2, 4, 3), 0, 1_001)):  # 840; 2,007
         calls[0] = 0
@@ -661,17 +700,19 @@ def test_every_parent_tabulates_so_ties_stop_at_once(monkeypatch):
         assert calls[0] < limit, (args, calls[0])
 
 
-def test_unbounded_levels_walk_the_widest_child_without_tables(monkeypatch):
+def test_unbounded_levels_walk_the_widest_child_without_tables(counted):
     # where no completion can exceed k, each parent counts its widest child
     # by one path of edge gains and bounds the other children by the
     # back-rows one vertex narrower, so no table and no chain is built
-    gains = _counted(monkeypatch, "_clique_gain")
-    steps = _counted(monkeypatch, "_steps")
+    gains = counted("_clique_gain")
+    steps = counted("_steps")
     assert max_over_free(6, 5, 2, 3).value == 60
     assert gains[0] <= 40 and steps[0] == 0  # 30 and 0; 83 and 6 with a table at every level
     gains[0] = 0
     assert max_over_free(7, 3, 3).value == 35
     assert gains[0] <= 60  # 42; 177 with a table at every level
+    assert steps[0] == 0
+    assert max_over_free(7, 2, 2).value == 11 and steps[0] > 0  # a bounded scan tabulates
 
 
 def _bounds_nothing(rows, allowed, joined, top, s, t):  # every narrower back-row may tie top
@@ -725,13 +766,13 @@ def test_widest_child_inherits_its_parents_entry(g, data):
     assert oracle._sibling_top(rows, below, rows[v], top, s, t) == max(drops, default=-1)
 
 
-def test_grown_children_search_only_the_parents_grow(monkeypatch):
-    calls = _counted(monkeypatch, "_exists_matching")
+def test_grown_children_search_only_the_parents_grow(counted):
+    probes = _probes(counted)
     assert max_over_free(7, 2, 2).value == 11
-    assert calls[0] <= 9_000  # 8,225; 10,527 searching every vertex of a child whose nu grew
-    calls = _counted(monkeypatch, "_nu")
+    assert probes[0] <= 9_000  # 8,225; 10,527 searching every vertex of a child whose nu grew
+    probes[0] = 0
     assert verify_bondy_chvatal(6)[0].cases == 245_760
-    assert calls[0] <= 4_000  # 3,699; 4,528 searching every vertex of a child whose nu grew
+    assert probes[0] <= 4_000  # 3,699; 4,528 searching every vertex of a child whose nu grew
 
 
 @given(graphs(min_n=0, max_n=6), st.data())
@@ -740,12 +781,12 @@ def test_a_grown_childs_grow_lies_inside_its_parents(g, data):
     # the child less x at most nu; the child less v is the parent itself
     v = g.n
     nu = _nu(g.adj)
-    grow = _grow(g.adj, nu)
+    grow = ref_grow(g.adj, nu)
     back = data.draw(st.integers(0, (1 << v) - 1)) | (grow & -grow)
     if back & grow:
         child = oracle._child(g.adj, back)
         assert _nu(child) == nu + 1
-        assert _grow(child, nu + 1) & ~grow == 0
+        assert ref_grow(child, nu + 1) & ~grow == 0
 
 
 def test_back_masks_set_the_slot_of_each_back_edge():
@@ -789,7 +830,7 @@ def test_last_parents_yield_each_free_parent_once_with_its_grow_and_mask():
         for k in range(n // 2 + 1):
             parents = list(oracle._last_parents(n, k))
             for adj, nu, grow, mask in parents:
-                assert (nu, grow) == (_nu(adj), _grow(adj, nu)), (adj, k)
+                assert (nu, grow) == (_nu(adj), ref_grow(adj, nu)), (adj, k)
                 assert mask == sum(1 << i for i, (u, w) in enumerate(slots)
                                    if w < n - 1 and adj[u] >> w & 1), (adj, k)
             distinct = {tuple(adj) for adj, _, _, _ in parents}

@@ -1,0 +1,99 @@
+"""Mutation check for the oracle's comparisons, tie-breaks and grow rule.
+
+Each mutant names one exact snippet of a source file, its replacement, and
+the pytest selection that should fail once the snippet is replaced.  For
+each mutant the script copies ``src``, ``tests`` and ``pyproject.toml`` to a
+temporary directory, applies the replacement there (never in the checkout)
+and runs the selection.  A mutant whose selection passes has survived: no
+test tells it from the real code.
+
+Usage, from any directory:
+
+    python tools/mutants.py            # every mutant
+    python tools/mutants.py NAME ...   # the named ones
+
+Exits 0 when every mutant is killed, 1 when one survives, its snippet is
+not found exactly once in its file or its selection does not run, 2 on an
+unknown name.  Standard library only.
+"""
+
+from __future__ import annotations
+
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+ORACLE = "src/turanmatch/oracle.py"
+MATCHING = "src/turanmatch/matching.py"
+TESTS = "tests/test_oracle.py"
+
+# (name, file, snippet, replacement, pytest selection)
+MUTANTS = [
+    ("grown-child-searches-every-vertex", ORACLE,
+     "return _missable(adj, nu, pgrow)",
+     "return _missable(adj, nu, (2 << v) - 1)",
+     [f"{TESTS}::test_grown_children_search_only_the_parents_grow"]),
+    ("kept-child-drops-v", ORACLE,
+     "return pgrow | 1 << v | _missable(",
+     "return pgrow | _missable(",
+     [f"{TESTS}::test_child_grow_is_each_childs_grow_afresh",
+      f"{TESTS}::test_last_parents_yield_each_free_parent_once_with_its_grow_and_mask"]),
+    ("missable-probes-one-size-short", MATCHING,
+     "if _exists_matching(adj, full ^ b, r):",
+     "if _exists_matching(adj, full ^ b, r - 1):",
+     ["tests/test_matching.py::test_missable_vertices_keep_the_matching_number_when_removed"]),
+    ("last-vertex-tie-keeps-the-largest-mask", ORACLE,
+     "low = mask | min(table[b]",
+     "low = mask | max(table[b]",
+     [f"{TESTS}::test_last_vertex_keeps_the_smallest_tied_back_row"]),
+    ("closure-gap-unclamped", ORACLE,
+     "meet & (holding[max(gap + 2, 0)] if gap <= 0 else 0)",
+     "meet & (holding[gap + 2] if -2 <= gap <= 0 else 0)",
+     [f"{TESTS}::test_closure_tests_are_the_degree_tests_of_each_back_row"]),
+]
+
+
+def run(path: str, snippet: str, replacement: str, selection: list[str]) -> str:
+    """'killed' (a selected test failed), 'survived' (all passed), 'missing'
+    (the snippet is not in ``path`` exactly once) or 'error' (pytest could
+    not run the selection, say a test name that no longer exists)."""
+    with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
+        work = Path(tmp)
+        for part in ("src", "tests"):
+            shutil.copytree(ROOT / part, work / part,
+                            ignore=shutil.ignore_patterns("__pycache__", ".hypothesis"))
+        shutil.copy(ROOT / "pyproject.toml", work)
+        target = work / path
+        text = target.read_text()
+        if text.count(snippet) != 1:
+            return "missing"
+        target.write_text(text.replace(snippet, replacement))
+        proc = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *selection],
+            cwd=work, stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True)
+        return {0: "survived", 1: "killed"}.get(proc.returncode, "error")
+
+
+def main(names: list[str]) -> int:
+    known = {m[0] for m in MUTANTS}
+    unknown = [n for n in names if n not in known]
+    if unknown:
+        print(f"unknown mutants {unknown}, expected some of {sorted(known)}", file=sys.stderr)
+        return 2
+    bad = 0
+    for name, path, snippet, replacement, selection in MUTANTS:
+        if names and name not in names:
+            continue
+        start = time.perf_counter()
+        outcome = run(path, snippet, replacement, selection)
+        print(f"{outcome:8} {name} ({time.perf_counter() - start:.1f} s)", flush=True)
+        bad += outcome != "killed"
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
