@@ -6,7 +6,8 @@ vertex first tries the augmenting paths of length 3 by bit operations, and
 a blossom search that fails takes its whole tree out of every later search.
 Whether a matching of a given size exists is a small branch-and-bound; one
 such probe per vertex finds the vertices that some maximum matching misses
-(``_missable``), which both of the oracle's vertex-row walks need.
+(``_missable``), which the oracle's vertex-row walks find once for each
+parent less one vertex, to hand every child its own.
 Bipartite graphs use augmenting paths; the minimum cover is built from a
 given maximum matching by the standard alternating-reachability
 construction, so its size always equals the matching size.

@@ -25,7 +25,8 @@ the bound; when no completion can exceed k the feasibility test is skipped.
 The general scan walks vertex rows from the empty graph: each vertex v is
 one DFS level choosing v's back-row, its neighbours below v.  Since nu <= k is
 hereditary for induced subgraphs, the bound prunes at every vertex through
-the parent's ``grow`` mask, passed down by the rule of ``_child_grow`` that
+its ``grow`` mask, which each parent hands to all its children by bit
+operations on one matching table of its own (``_grow_table``), the rule
 both vertex-row walks share.  The pattern count is carried down, each
 back-row adding the copies through v, so no leaf is recounted.
 Copies never fall when edges are added, so a child's widest completion
@@ -34,21 +35,25 @@ above the last vertex tabulates that count for all its children at once,
 one direct count and one edge gain per back-row, and a child is skipped
 unless its entry beats the best or ties it with a smaller mask.  An entry
 equal to the child's own count, later vertices left isolated, makes that
-empty completion the subtree's best leaf.  Below a parent whose matching
+empty completion the subtree's best leaf.  Below a graph whose matching
 number is already k, ``grow`` only gains vertices, so every later vertex may
-join only the vertices outside the parent's ``grow``, the ones every maximum
-matching covers, and that is the widest completion; elsewhere each later
-vertex is joined to all others, by the same row build.  The counts and the
-tables run one chain of edge gains over the allowed back-rows, tabulated
-once per scan for each allowed set, when first met.  Children go widest
-back-row first, so a near-best graph sets the best early.  Where no
-completion can exceed k, the widest child's widest completion is the
-parent's own, the same graph, so it takes the parent's entry and is walked
-first with no table; its count is one path of edge gains, and the parent
-then returns unless a back-row one vertex narrower, which holds every other
-child, ties the best.  The last vertex counts its widest allowed back-row,
-which has the most copies, by the same path, and scores the rest only when a
-back-row one vertex narrower ties it, for the smallest tied mask.
+join only the vertices outside its ``grow``, the ones every maximum
+matching covers, and never another later vertex: that is its widest
+completion.  A parent at k tabulates the one its own ``grow`` allows, and
+elsewhere each later vertex is joined to all others, by the same row build;
+a child whose matching number is k, above the last two levels, is then
+bounded again by the narrower completion its own ``grow`` allows, before
+it is walked.  The counts and the tables run one chain of edge gains over
+the allowed back-rows, tabulated once per scan for each allowed set, when
+first met.  Children go widest back-row first, so a near-best graph sets
+the best early.  Where no completion can exceed k, the widest child's
+widest completion is the parent's own, the same graph, so it takes the
+parent's entry and is walked first with no table; its count is one path of
+edge gains, and the parent then returns unless a back-row one vertex
+narrower, which holds every other child, ties the best.  The last vertex
+counts its widest allowed back-row, which has the most copies, by the same
+path, and scores the rest only when a back-row one vertex narrower ties
+it, for the smallest tied mask.
 The bipartite scan scores one member per orbit of X-row permutations, an
 ascending tuple of rows read from the most significant down, which is the
 orbit's smallest mask and shares its matching number and biclique count;
@@ -160,44 +165,76 @@ def _child(adj: list[int], back: int) -> list[int]:
     return rows
 
 
-def _child_grow(adj: list[int], nu: int, pgrow: int) -> int:
-    """The ``grow`` mask of the rows ``adj`` with matching number nu, whose
-    newest vertex v = len(adj) - 1 joined a parent whose mask was ``pgrow``:
-    the vertices b whose removal leaves a matching of size nu
-    (``_missable``), so that a later vertex raises the matching number
-    exactly when its back-row meets the mask.  A child whose back-row meets
-    ``pgrow``, nu one above its parent's, searches only ``pgrow``: for x
-    outside it the parent less x has a matching number one below the
-    parent's, so the child less x falls short of nu, and the child less v is
-    the parent.  Any other child keeps ``pgrow`` (the parent less b has a
-    nu-matching, and the child less b contains it) and v (the child less v
-    is the parent), and searches only its other vertices.  The empty root
-    has mask 0."""
-    v = len(adj) - 1
-    if v < 0:
-        return 0
-    if adj[v] & pgrow:
-        return _missable(adj, nu, pgrow)
-    return pgrow | 1 << v | _missable(adj, nu, ((1 << v) - 1) & ~pgrow)
+def _grow_table(adj: list[int], nu: int, grow: int, search: int) -> list[int]:
+    """The matching table of the parent rows ``adj`` (matching number nu,
+    ``grow`` the vertices some maximum matching misses, the D set of Gallai
+    1964 and Edmonds 1965): entry u, for each u below v = len(adj), holds
+    the vertices c of ``search`` for which u lies in D(adj less c).  Each c
+    is one ``_missable`` call on the rows with c cut out.  For c in ``grow``
+    the parent less c keeps nu, and its D set lies inside ``grow`` (a vertex
+    outside it is covered by every maximum matching of the parent, so also
+    of the parent less c), so only ``grow`` is searched; for c outside, the
+    parent less c has matching number nu - 1, and only the vertices outside
+    ``grow`` are searched, all that ``_handed_grow`` reads there."""
+    v = len(adj)
+    hits = [0] * v
+    while search:
+        cut = search & -search
+        search ^= cut
+        rows = [row & ~cut for row in adj]
+        rows[cut.bit_length() - 1] = 0
+        if cut & grow:
+            found = _missable(rows, nu, grow ^ cut)
+        else:
+            found = _missable(rows, nu - 1, ((1 << v) - 1) & ~grow ^ cut)
+        while found:
+            low = found & -found
+            found ^= low
+            hits[low.bit_length() - 1] |= cut
+    return hits
+
+
+def _handed_grow(hits: list[int], grow: int, v: int, back: int) -> int:
+    """The ``grow`` mask of the child that joins v to the back-row ``back``
+    below a parent whose mask is ``grow`` and whose ``_grow_table`` is
+    ``hits``, so that a later vertex raises the child's matching number
+    exactly when its back-row meets the mask.  The child less c is the
+    parent less c joined to back less c, and a new vertex raises a matching
+    number exactly when it joins the D set.  So a child whose back-row meets
+    ``grow`` (nu one above its parent's) keeps the c of ``grow`` whose
+    table entries it meets, and never v (the child less v is the parent);
+    any other child keeps ``grow`` and v, and gains each c outside ``grow``
+    whose table entry it meets."""
+    reach = 0  # the c with back less c meeting D(parent less c)
+    rest = back
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        reach |= hits[low.bit_length() - 1]
+    return reach & grow if back & grow else grow | 1 << v | reach & ~grow
 
 
 def _last_parents(n: int, k: int):
     """(adj, nu, grow, mask) for each graph on n - 1 vertices with matching
     number nu <= k, walked by vertex rows: vertex v is one DFS level taking
-    each back-row in turn.  ``grow`` is ``_child_grow``'s mask, so a back-row
-    raises nu exactly when it meets ``grow``.  ``mask`` is adj's edge mask in
-    the slot order of n vertices."""
+    each back-row in turn.  ``grow`` is the mask ``_handed_grow`` hands down
+    from the parent's one ``_grow_table`` (0 for the empty root), so a
+    back-row raises nu exactly when it meets ``grow``.  ``mask`` is adj's
+    edge mask in the slot order of n vertices."""
     canon = _back_masks(n)
 
-    def rec(adj: list[int], nu: int, mask: int, pgrow: int):
-        grow = _child_grow(adj, nu, pgrow)
+    def rec(adj: list[int], nu: int, grow: int, mask: int):
         v = len(adj)
         if v == n - 1:
             yield adj, nu, grow, mask
             return
+        below = (1 << v) - 1
+        allowed = below & ~grow if nu == k else below  # the back-rows keeping nu <= k
+        hits = _grow_table(adj, nu, grow, allowed)
         for back in range(1 << v):
             if nu < k or not back & grow:
-                yield from rec(_child(adj, back), nu + 1 if back & grow else nu, mask | canon[v][back], grow)
+                yield from rec(_child(adj, back), nu + 1 if back & grow else nu,
+                               _handed_grow(hits, grow, v, back), mask | canon[v][back])
 
     if n:
         yield from rec([], 0, 0, 0)
@@ -241,13 +278,15 @@ def _completion_rows(adj, n, reach=-1) -> list[int]:
     """The rows of the widest completion of the parent rows ``adj`` on n
     vertices, v = len(adj) taking no back-row yet: each later vertex is
     joined to the vertices of ``reach`` but itself, by default to all
-    others; with ``reach`` below v, to those only, the widest completion
-    once the parent's matching number is k (``_scan_free_max``)."""
+    others; with ``reach`` inside v and the vertices below it, to those
+    only, so the later vertices are independent: the widest completion of a
+    graph at matching number k whose ``reach`` is the vertices every
+    maximum matching covers (``_scan_free_max``)."""
     v = len(adj)
     full = (1 << n) - 1
     later = full ^ ((2 << v) - 1)
     rows = [row | later if reach >> u & 1 else row for u, row in enumerate(adj)]
-    rows.append(reach & later)
+    rows.append(later if reach >> v & 1 else 0)
     rows += [reach & ~(1 << z) & full for z in range(v + 1, n)]
     return rows
 
@@ -262,16 +301,35 @@ def _completion_counts(adj, n, steps, s, t, reach=-1) -> list[int]:
     return _chain(rows, steps, _clique_top_sum(rows, s, t), rows[len(adj)], s, t)
 
 
-def _path_gain(adj, back, s, t) -> int:
-    """The copies through v = len(adj) gained as v takes the back-row
-    ``back`` below the parent rows ``adj``, one edge at a time: the path of
-    ``_chain`` to ``back``, one edge gain per vertex of it."""
+def _path_gain(adj, back, s, t, joined=0) -> int:
+    """The copies through a vertex v gained as v, its other neighbours
+    ``joined``, takes the back-row ``back`` one edge at a time: the path of
+    ``_chain`` to ``back``, one edge gain per vertex of it.  The other rows
+    are read off ``adj``, the parent rows (v = len(adj)) or the rows of a
+    completion (``_completion_rows``), whose row v is ``joined``."""
     total = 0
     while back:
         low = back & -back
         back ^= low
-        total += _clique_gain(adj, adj[low.bit_length() - 1], back, s, t)
+        total += _clique_gain(adj, adj[low.bit_length() - 1], back | joined, s, t)
     return total
+
+
+def _own_top(adj, n, grow, back, s, t, owns) -> int:
+    """The pattern count of the widest completion of a child at the scan's
+    bound k, the child joining v = len(adj) to ``back`` below the parent
+    rows ``adj`` and having the mask ``grow``: below it ``grow`` only gains
+    vertices, so each later vertex joins only the child's vertices outside
+    ``grow``, its ``reach``, and never another later vertex.  The count of
+    the parent's completion to that ``reach``, v taking no back-row yet, is
+    kept in ``owns`` for the siblings sharing it; v's back-row then adds one
+    path of edge gains."""
+    reach = ((2 << len(adj)) - 1) & ~grow
+    if reach not in owns:
+        rows = _completion_rows(adj, n, reach)
+        owns[reach] = rows, _clique_top_sum(rows, s, t)
+    rows, first = owns[reach]
+    return first + _path_gain(rows, back, s, t, rows[len(adj)])
 
 
 def _sibling_top(rows, allowed, joined, top, s, t) -> int:
@@ -302,15 +360,17 @@ def _scan_free_max(n, k, s, t):
     first met: building all 2^(n-1) sets up front costs more than a small
     scan's walk.
     A back-row raises the matching number exactly when it meets the parent's
-    ``grow`` (``_child_grow``), so at nu = k only subsets of the other
-    vertices are visited; a parent where no completion can exceed k, and
-    so each of its children, skips ``grow``.  Copies never fall when edges
-    are added, and every leaf below keeps the child's mask bits, so a child
-    is skipped before its rows are built when the count of its widest
-    completion is below the best, or equal to it with a mask no smaller
-    than the best's.  When it equals the child's own count, later vertices
-    isolated, that empty completion is a best leaf of the subtree with its
-    smallest mask, and it is recorded in the subtree's place.
+    ``grow``, so at nu = k only subsets of the other vertices are visited.
+    Each child's ``grow`` is handed down by ``_handed_grow`` from the
+    parent's ``_grow_table`` over its allowed back-rows, made at its first
+    child walked; a parent where no completion can exceed k, and so each of
+    its children, makes no table and reads no mask.  Copies never fall when edges are added, and every leaf below
+    keeps the child's mask bits, so a child is skipped before its rows are
+    built when the count of its widest completion is below the best, or
+    equal to it with a mask no smaller than the best's.  When it equals the
+    child's own count, later vertices isolated, that empty completion is a
+    best leaf of the subtree with its smallest mask, and it is recorded in
+    the subtree's place.
     Where the matching bound prunes (``bounded``), each parent above the
     last vertex tabulates those counts for all its children
     (``_completion_counts``).  At nu = k, which above the last vertex needs
@@ -318,7 +378,14 @@ def _scan_free_max(n, k, s, t):
     inheritance each later vertex may join only the parent's allowed
     vertices, never v nor another later vertex, and the table joins it to
     exactly those (``reach`` = the allowed set); elsewhere each later vertex
-    is joined to all others (every vertex), by the same ``_chain``.
+    is joined to all others (every vertex), by the same ``_chain``.  A
+    child that survives its entry with nu = k, two or more levels above the
+    last vertex, is bounded again by its own widest completion
+    (``_own_top``): each later vertex joined only to the child's vertices
+    outside its own ``grow``, a subgraph of the completion its entry
+    counted, so it takes the smaller count.  At the level above the last
+    vertex the children are scored at once by one path of gains over the
+    back-rows they allow, so they keep the table's entries.
     Children go widest back-row first, so a near-best graph sets the best
     early.  Where no completion can exceed k, a parent visits its widest
     child first without a table: that child's widest completion, every
@@ -353,12 +420,11 @@ def _scan_free_max(n, k, s, t):
             subsets[allowed] = backs, _steps(backs)
         return subsets[allowed]
 
-    def rec(adj: list[int], nu: int, value: int, mask: int, pgrow: int, top: int) -> None:
+    def rec(adj: list[int], nu: int, grow: int, value: int, mask: int, top: int) -> None:
         nonlocal best_value, best_mask
         v = len(adj)
         below = (1 << v) - 1
-        bounded = k < min(nu + n - v, n // 2)  # else no completion exceeds k
-        grow = _child_grow(adj, nu, pgrow) if bounded else 0
+        bounded = k < min(nu + n - v, n // 2)  # else no completion exceeds k (grow then 0 or unread)
         allowed = below & ~grow if nu == k else below  # the back-rows keeping nu <= k
         table = canon[v]
         if v == n - 1:
@@ -387,15 +453,28 @@ def _scan_free_max(n, k, s, t):
             tops = _completion_counts(adj, n, steps, s, t, allowed if nu == k else -1)
             yield from islice(zip(reversed(backs), reversed(vals), reversed(tops)), first, None)
 
+        hits = None  # the parent's _grow_table, made at its first child walked
         empty = (n - v - 1) * base  # the copies later vertices add when isolated
         for back, extra, ctop in children():
             cmask = mask | table[back]
             if ctop < best_value or (ctop == best_value and cmask >= best_mask):
                 continue
+            cnu, cgrow = nu, 0
+            if bounded:
+                if hits is None:
+                    hits = _grow_table(adj, nu, grow, allowed)
+                    owns = {}  # _own_top's completions, shared by the children at nu = k
+                if back & grow:
+                    cnu += 1
+                cgrow = _handed_grow(hits, grow, v, back)
+                if cnu == k and v < n - 2:  # the child's own widest completion bounds it
+                    ctop = min(ctop, _own_top(adj, n, cgrow, back, s, t, owns))
+                    if ctop < best_value or (ctop == best_value and cmask >= best_mask):
+                        continue
             if ctop == value + extra + empty:  # the empty completion is a best leaf
                 best_value, best_mask = ctop, cmask
                 continue
-            rec(_child(adj, back), nu + 1 if back & grow else nu, value + extra, cmask, grow, ctop)
+            rec(_child(adj, back), cnu, cgrow, value + extra, cmask, ctop)
 
     rec([], 0, 0, 0, 0, _completion_counts([], n, [], s, t)[0])  # the root's entry: K_n
     return best_value, best_mask

@@ -498,13 +498,13 @@ def test_completion_bound_prunes_above_the_last_vertex(counted):
 def test_loose_bound_skipped_when_it_cannot_prune(counted):
     calls = counted("_clique_gain")
     assert max_over_free(7, 1, 2).value == 6
-    assert calls[0] < 1_000  # 445; 1,597 with every last vertex bounded before its matching tests
+    assert calls[0] < 1_000  # 323; 1,597 with every last vertex bounded before its matching tests
 
 
 def test_child_table_cuts_the_last_level_chains(counted):
     calls = counted("_clique_gain")
     assert max_over_free(7, 2, 2).value == 11
-    assert calls[0] <= 25_000  # 21,091; 60,880 with a chain of 6 gains per last-level parent
+    assert calls[0] <= 25_000  # 14,311; 60,880 with a chain of 6 gains per last-level parent
 
 
 def test_scan_tabulates_each_allowed_back_row_set_once(counted):
@@ -513,14 +513,14 @@ def test_scan_tabulates_each_allowed_back_row_set_once(counted):
     assert calls[0] <= 6  # one per vertex; 32 tabulating every subset of the 5 vertices up front
     calls[0] = 0
     assert max_over_free(7, 2, 2).value == 11
-    assert calls[0] <= 64  # 59; 2,050 with one per parent at a full matching
+    assert calls[0] <= 64  # 14; 2,050 with one per parent at a full matching
 
 
 def test_degree_closure_counts_matchings_once_per_parent_vertex(counted):
     probes = _probes(counted)
     (check,) = verify_bondy_chvatal(6)
     assert (check.cases, check.violations) == (245_760, ())
-    assert probes[0] <= 6_000  # 5,405 = v calls per parent on v < 6 vertices; 32,768 with one per graph
+    assert probes[0] <= 6_000  # 652; 5,405 = v per parent on v < 6 vertices; 32,768 one per graph
 
 
 def test_degree_filter_selects_the_same_matching_tests(monkeypatch):
@@ -591,16 +591,75 @@ def test_completion_table_counts_each_completed_child(g, data):
 
 
 @given(graphs(min_n=0, max_n=6))
-def test_child_grow_is_each_childs_grow_afresh(g):
-    # on every back-row of the parent, the mask both row walks pass down
-    # equals the child's own, found by blossom on the child less each vertex
-    assert oracle._child_grow([], 0, 0) == 0  # the empty root
+def test_handed_grow_is_each_childs_grow_afresh(g):
+    # on every back-row of the parent, the mask both row walks hand down
+    # from the parent's one table equals the child's own, found by blossom
+    # on the child less each vertex
+    v = g.n
     nu = _nu(g.adj)
     grow = ref_grow(g.adj, nu)
-    for back in range(1 << g.n):
+    hits = oracle._grow_table(g.adj, nu, grow, (1 << v) - 1)
+    for back in range(1 << v):
         child = oracle._child(g.adj, back)
         child_nu = _nu(child)
-        assert oracle._child_grow(child, child_nu, grow) == ref_grow(child, child_nu), back
+        assert oracle._handed_grow(hits, grow, v, back) == ref_grow(child, child_nu), back
+    assert oracle._handed_grow([], 0, 0, 0) == 1  # the empty root's one child
+
+
+def test_grow_table_probes_one_side_of_grow_per_cut(monkeypatch):
+    # cutting c out of grow leaves a D set inside grow, and outside grow
+    # only the vertices outside it are read, so each cut searches one side
+    asked = []
+    missable = oracle._missable
+
+    def recording(adj, r, maybe):
+        asked.append(maybe)
+        return missable(adj, r, maybe)
+
+    monkeypatch.setattr(oracle, "_missable", recording)
+    for n in range(6):
+        below = (1 << n) - 1
+        for g in all_graphs(n):
+            nu = _nu(g.adj)
+            grow = ref_grow(g.adj, nu)
+            asked.clear()
+            oracle._grow_table(g.adj, nu, grow, below)
+            side = [(grow if grow >> c & 1 else below & ~grow) ^ 1 << c for c in range(n)]
+            assert asked == side, g
+
+
+def _free_completions(rows, n, k):
+    """Every completion of ``rows`` to n vertices with matching number <= k,
+    each later vertex taking every back-row in turn."""
+    if len(rows) == n:
+        yield rows
+        return
+    for back in range(1 << len(rows)):
+        child = oracle._child(rows, back)
+        if _nu(child) <= k:
+            yield from _free_completions(child, n, k)
+
+
+@given(graphs(min_n=0, max_n=3), st.data())
+def test_own_entry_bounds_every_completion_below_the_child(g, data):
+    # a child at matching number k above the last two levels is bounded by
+    # its own widest completion: later vertices independent, each joined to
+    # the child's vertices outside its own grow; that count is at least the
+    # count of every completion below it with nu <= k
+    v = g.n
+    back = data.draw(st.integers(0, (1 << v) - 1))
+    child = oracle._child(g.adj, back)
+    k = _nu(child)
+    grow = ref_grow(child, k)
+    n = data.draw(st.integers(v + 3, 6))
+    s = data.draw(st.integers(1, 4))
+    t = data.draw(st.integers(0, 2))
+    own = oracle._own_top(g.adj, n, grow, back, s, t, {})
+    reach = ((2 << v) - 1) & ~grow
+    later = ((1 << n) - 1) ^ ((2 << v) - 1)
+    widest = [row | later if reach >> u & 1 else row for u, row in enumerate(child)] + [reach] * (n - v - 1)
+    assert own == _clique_top_sum(widest, s, t)
+    assert all(_clique_top_sum(rows, s, t) <= own for rows in _free_completions(child, n, k))
 
 
 @given(graphs(min_n=0, max_n=6), st.data())
@@ -652,7 +711,7 @@ def test_matching_aware_table_bounds_every_leaf_below_a_full_parent(g, data):
 def test_full_parents_bound_their_subtrees_by_their_matching(counted):
     probes = _probes(counted)
     assert max_over_free(7, 2, 2).value == 11
-    assert probes[0] < 15_000  # 10,527; 31,038 with grow afresh at every node and the loose table
+    assert probes[0] < 15_000  # 2,924; 31,038 with grow afresh at every node and the loose table
 
 
 def test_koenig_check_carries_its_matching_down_the_rows(counted):
@@ -671,7 +730,7 @@ def test_koenig_check_carries_its_matching_down_the_rows(counted):
 def test_degree_closure_inherits_the_parents_grow(counted):
     probes = _probes(counted)
     assert verify_bondy_chvatal(6)[0].cases == 245_760
-    assert probes[0] <= 4_800  # 4,528; 5,405 with grow afresh at every node
+    assert probes[0] <= 4_800  # 652; 5,405 with grow afresh at every node
 
 
 def test_tied_tasks_stop_at_the_empty_completion(counted):
@@ -680,8 +739,8 @@ def test_tied_tasks_stop_at_the_empty_completion(counted):
     # completion instead of walking the ties below it
     calls = counted("_clique_gain")
     for args, value, limit in (((7, 3, 1), 7, 1_000),     # 0; 8,100 walking the ties
-                               ((7, 2, 4, 3), 0, 2_700),  # 2,043; 3,408
-                               ((7, 2, 1), 7, 2_700)):    # 1,983; 3,354
+                               ((7, 2, 4, 3), 0, 2_700),  # 366; 3,408
+                               ((7, 2, 1), 7, 2_700)):    # 0; 3,354
         calls[0] = 0
         w = max_over_free(*args)
         assert (w.value, w.graph.edges()) == (value, []), args
@@ -693,7 +752,7 @@ def test_every_parent_tabulates_so_ties_stop_at_once(counted):
     # child already ties its entry, and a tie found deeper is not walked
     calls = counted("_clique_gain")
     for args, value, limit in (((7, 2, 1), 7, 1),         # 0; 1,983 with tables only at some levels
-                               ((7, 2, 4, 3), 0, 1_001)):  # 840; 2,007
+                               ((7, 2, 4, 3), 0, 1_001)):  # 366; 2,007
         calls[0] = 0
         w = max_over_free(*args)
         assert (w.value, w.graph.edges()) == (value, []), args
@@ -735,6 +794,28 @@ def test_tied_siblings_fall_back_to_the_tables(monkeypatch):
                 assert (w.value, w.graph.edges()) == (value, graph_from_mask(n, mask).edges()), (n, k, s, t)
 
 
+def test_a_narrower_back_row_tying_the_best_is_walked(monkeypatch):
+    # no real scan has a back-row one vertex narrower than the widest whose
+    # entry ties the best, except where every graph ties, and there the
+    # empty completion ends the scan first.  With every table entry one above
+    # the true count, still a bound but never an empty completion, and the
+    # sibling entries exact (the sibling check above the last vertex passes
+    # a nonzero completion row as ``joined``, and an entry from the tables
+    # as ``top``), a pattern every graph ties on (single vertices, or no
+    # copy on n vertices) makes every narrower back-row tie the best, and
+    # they must be walked to reach the smallest mask
+    counts, siblings = oracle._completion_counts, oracle._sibling_top
+    monkeypatch.setattr(oracle, "_completion_counts", lambda *a: [x + 1 for x in counts(*a)])
+    monkeypatch.setattr(oracle, "_sibling_top", lambda rows, allowed, joined, top, s, t:
+                        siblings(rows, allowed, joined, top - (joined != 0), s, t))
+    for n in range(1, 7):
+        for k in range(n // 2 + 1):
+            for s, t in ((1, None), (2, None), (n + 1, None), (n, 1), (2, 2)):
+                value, mask = ref_scan_free_max(n, k, s, t)
+                w = max_over_free(n, k, s, t)
+                assert (w.value, w.graph.edges()) == (value, graph_from_mask(n, mask).edges()), (n, k, s, t)
+
+
 def _joined_to_all(adj, n):
     """``adj``'s rows with every later vertex, up to n, joined to all others."""
     full = (1 << n) - 1
@@ -766,13 +847,22 @@ def test_widest_child_inherits_its_parents_entry(g, data):
     assert oracle._sibling_top(rows, below, rows[v], top, s, t) == max(drops, default=-1)
 
 
+def test_grow_tables_cut_the_probes(counted):
+    probes = _probes(counted)
+    assert verify_bondy_chvatal(6)[0].cases == 245_760
+    assert probes[0] <= 1_000  # 652; 3,699 probing each child after it is built
+    probes[0] = 0
+    assert max_over_free(7, 2, 2).value == 11
+    assert probes[0] <= 5_000  # 2,924; 8,225 probing each child after it is built
+
+
 def test_grown_children_search_only_the_parents_grow(counted):
     probes = _probes(counted)
     assert max_over_free(7, 2, 2).value == 11
-    assert probes[0] <= 9_000  # 8,225; 10,527 searching every vertex of a child whose nu grew
+    assert probes[0] <= 9_000  # 2,924; 10,527 searching every vertex of a child whose nu grew
     probes[0] = 0
     assert verify_bondy_chvatal(6)[0].cases == 245_760
-    assert probes[0] <= 4_000  # 3,699; 4,528 searching every vertex of a child whose nu grew
+    assert probes[0] <= 4_000  # 652; 4,528 searching every vertex of a child whose nu grew
 
 
 @given(graphs(min_n=0, max_n=6), st.data())

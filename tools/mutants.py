@@ -34,14 +34,19 @@ TESTS = "tests/test_oracle.py"
 # (name, file, snippet, replacement, pytest selection)
 MUTANTS = [
     ("grown-child-searches-every-vertex", ORACLE,
-     "return _missable(adj, nu, pgrow)",
-     "return _missable(adj, nu, (2 << v) - 1)",
-     [f"{TESTS}::test_grown_children_search_only_the_parents_grow"]),
+     "found = _missable(rows, nu, grow ^ cut)",
+     "found = _missable(rows, nu, ((1 << v) - 1) ^ cut)",
+     [f"{TESTS}::test_grow_table_probes_one_side_of_grow_per_cut"]),
     ("kept-child-drops-v", ORACLE,
-     "return pgrow | 1 << v | _missable(",
-     "return pgrow | _missable(",
-     [f"{TESTS}::test_child_grow_is_each_childs_grow_afresh",
+     "else grow | 1 << v | reach & ~grow",
+     "else grow | reach & ~grow",
+     [f"{TESTS}::test_handed_grow_is_each_childs_grow_afresh",
       f"{TESTS}::test_last_parents_yield_each_free_parent_once_with_its_grow_and_mask"]),
+    ("own-entry-reaches-the-parents-allowed-set", ORACLE,
+     "_own_top(adj, n, cgrow, back, s, t, owns)",
+     "_own_top(adj, n, ~allowed, back, s, t, owns)",
+     [f"{TESTS}::test_pruned_seven_vertex_scans_match_reference",
+      f"{TESTS}::test_max_over_free_matches_leaf_recount_reference"]),
     ("missable-probes-one-size-short", MATCHING,
      "if _exists_matching(adj, full ^ b, r):",
      "if _exists_matching(adj, full ^ b, r - 1):",
@@ -50,6 +55,10 @@ MUTANTS = [
      "low = mask | min(table[b]",
      "low = mask | max(table[b]",
      [f"{TESTS}::test_last_vertex_keeps_the_smallest_tied_back_row"]),
+    ("sibling-tie-skips-narrower-back-rows", ORACLE,
+     "if _sibling_top(rows, allowed, rows[v], top, s, t) < best_value:",
+     "if _sibling_top(rows, allowed, rows[v], top, s, t) <= best_value:",
+     [f"{TESTS}::test_a_narrower_back_row_tying_the_best_is_walked"]),
     ("closure-gap-unclamped", ORACLE,
      "meet & (holding[max(gap + 2, 0)] if gap <= 0 else 0)",
      "meet & (holding[gap + 2] if -2 <= gap <= 0 else 0)",
