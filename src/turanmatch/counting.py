@@ -4,7 +4,10 @@ Every pattern is counted by one kernel, ``_clique_sum``: over the s-cliques K
 of a candidate set, the sum of C(|common & N(K)|, t).  Cliques and clique-stars
 read it on the host itself.  A biclique K_{s,t} reads it on the host with X
 made complete: an s-"clique" of X is then any s-subset of X, and its common
-neighborhood is taken in Y.
+neighborhood is taken in Y.  Plain clique counts (t = 0) close their two
+cheapest levels by popcount instead of a call per vertex, and an edge's gain
+(``_clique_gain``), the exhaustive scans' unit of counting, makes no call
+for a term that is 0 or two binomials.
 
 All counts are of subgraph copies, not induced copies: the independent side of
 a pattern may carry extra host edges.  Counts are plain Python integers, so
@@ -36,12 +39,26 @@ def _clique_sum(adj, cand: int, common: int, s: int, t: int) -> int:
     where N(K) is K's common neighborhood.
 
     Cliques grow by ascending vertex index, each step intersecting the
-    candidate and common masks with the new vertex's adjacency row.
+    candidate and common masks with the new vertex's adjacency row.  With
+    t = 0 every term is 1 and ``common`` is unread, so the two cheapest
+    levels close by popcount without a call: s = 1 counts the vertices of
+    ``cand``, and s = 2 its edges, each vertex's row met with the candidates
+    above it.
     """
-    if s < 0 or t < 0:
-        return 0
-    if s == 0:
-        return comb(common.bit_count(), t)
+    if s <= 0 or t <= 0:  # s, t >= 1 pass with this one test
+        if s < 0 or t < 0:
+            return 0
+        if s == 0:
+            return comb(common.bit_count(), t)
+        if s == 1:
+            return cand.bit_count()
+        if s == 2:
+            total = 0
+            while cand:
+                b = cand & -cand
+                cand ^= b
+                total += (cand & adj[b.bit_length() - 1]).bit_count()
+            return total
     total = 0
     while cand:
         if cand.bit_count() < s:
@@ -78,13 +95,18 @@ def _clique_gain(adj, ru: int, rv: int, s: int, t: int) -> int:
     {b} + D for (a, b) in {(u, v), (v, u)}, with K an (s-1)-clique in
     N(u) & N(v) and D a (t-1)-subset of N(K) & N(a).  Neighborhoods are read
     before the edge is added, so b is not in N(a); only the rows of K are
-    read from ``adj``, so v need not have a row there.
+    read from ``adj``, so v need not have a row there.  Below s = 2 no K
+    fits inside C1 with uv, so that term is 0 with no call, and at s = 1 K
+    is empty, so the crossing terms close as C(|N(u)|, t-1) + C(|N(v)|, t-1).
     """
     both = ru & rv
-    gain = _clique_sum(adj, both, both, s - 2, t)
+    gain = _clique_sum(adj, both, both, s - 2, t) if s >= 2 else 0
     if t >= 1:
-        gain += _clique_sum(adj, both, ru, s - 1, t - 1)
-        gain += _clique_sum(adj, both, rv, s - 1, t - 1)
+        if s == 1:  # K is empty: D is any (t-1)-subset of N(a)
+            gain += comb(ru.bit_count(), t - 1) + comb(rv.bit_count(), t - 1)
+        else:
+            gain += _clique_sum(adj, both, ru, s - 1, t - 1)
+            gain += _clique_sum(adj, both, rv, s - 1, t - 1)
     return gain
 
 

@@ -70,6 +70,17 @@ class Graph:
         self.m = deg_total // 2
 
     @classmethod
+    def _trusted(cls, n: int, rows: Iterable[int]) -> "Graph":
+        """The graph on ``rows`` that package code built symmetric,
+        loop-free and inside 1..n, stored without ``__init__``'s checks,
+        which public input keeps."""
+        g = object.__new__(cls)
+        g.n = n
+        g.adj = tuple(rows)
+        g.m = sum(map(int.bit_count, g.adj)) // 2
+        return g
+
+    @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
         _check_vertex_count(n)
         rows = [0] * n

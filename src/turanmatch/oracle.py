@@ -50,10 +50,12 @@ the best early.  Where no completion can exceed k, the widest child's
 widest completion is the parent's own, the same graph, so it takes the
 parent's entry and is walked first with no table; its count is one path of
 edge gains, and the parent then returns unless a back-row one vertex
-narrower, which holds every other child, ties the best.  The last vertex
-counts its widest allowed back-row, which has the most copies, by the same
-path, and scores the rest only when a back-row one vertex narrower ties
-it, for the smallest tied mask.
+narrower, which holds every other child, ties the best; those back-rows
+are counted once per twin class of the allowed vertices, since twins lose
+the same copies.  The last vertex counts its widest allowed back-row, which
+has the most copies, by the same path, and scores the rest only when a
+back-row one vertex narrower ties it, for the smallest tied mask.  The
+edge-mask tables of the back-rows are made once per n, at import.
 The bipartite scan scores one member per orbit of X-row permutations, an
 ascending tuple of rows read from the most significant down, which is the
 orbit's smallest mask and shares its matching number and biclique count;
@@ -221,7 +223,7 @@ def _last_parents(n: int, k: int):
     from the parent's one ``_grow_table`` (0 for the empty root), so a
     back-row raises nu exactly when it meets ``grow``.  ``mask`` is adj's
     edge mask in the slot order of n vertices."""
-    canon = _back_masks(n)
+    canon = _BACK_MASKS[n]
 
     def rec(adj: list[int], nu: int, grow: int, mask: int):
         v = len(adj)
@@ -240,17 +242,21 @@ def _last_parents(n: int, k: int):
         yield from rec([], 0, 0, 0)
 
 
-def _back_masks(n: int) -> list[list[int]]:
+def _back_masks(n: int) -> tuple[tuple[int, ...], ...]:
     """canon[v][B]: the edge mask, in the lexicographic slot order of n
     vertices, of the edges from v back to the vertex set B below it."""
-    canon = [[0] for _ in range(n)]
+    canon = [(0,)] * n
     for v in range(1, n):
         bits = [1 << u * (2 * n - u - 1) // 2 + v - u - 1 for u in range(v)]  # slot (u, v)
-        table = canon[v] = [0] * (1 << v)
+        table = [0] * (1 << v)
         for back in range(1, 1 << v):
             low = back & -back
             table[back] = table[back ^ low] | bits[low.bit_length() - 1]
-    return canon
+        canon[v] = tuple(table)
+    return tuple(canon)
+
+
+_BACK_MASKS = tuple(map(_back_masks, range(MAX_ORACLE_VERTICES + 1)))  # made once per n, at import
 
 
 def _steps(backs) -> list[tuple[int, int, int]]:
@@ -338,14 +344,24 @@ def _sibling_top(rows, allowed, joined, top, s, t) -> int:
     the count at ``allowed``: each is ``top`` less the copies through the
     edge vw, read off ``rows`` (-1 when ``allowed`` is empty).  Copies never
     fall when edges are added, and every other subset of ``allowed`` lies
-    inside one of them, so this bounds them all."""
+    inside one of them, so this bounds them all.  One gain is made per twin
+    class of ``allowed``: two of its vertices whose rows are equal (open
+    twins), or equal once each holds itself (closed twins), are swapped by
+    an automorphism of the graph with v joined to ``allowed`` and
+    ``joined``, which maps vw to vw', so the two gains are equal.  An open
+    key never equals another vertex's closed key (each would then be its
+    own neighbour), so one set holds both kinds."""
     most = -1
+    seen = set()  # the open and closed keys of each twin class met
     left = allowed
     while left:
         low = left & -left
         left ^= low
-        gain = _clique_gain(rows, rows[low.bit_length() - 1], allowed ^ low | joined, s, t)
-        most = max(most, top - gain)
+        row = rows[low.bit_length() - 1]
+        if row in seen or row | low in seen:  # a twin of a vertex met: the same gain
+            continue
+        seen.update((row, row | low))
+        most = max(most, top - _clique_gain(rows, row, allowed ^ low | joined, s, t))
     return most
 
 
@@ -406,7 +422,7 @@ def _scan_free_max(n, k, s, t):
     """
     if not n:
         return 0, 0
-    canon = _back_masks(n)
+    canon = _BACK_MASKS[n]
     subsets = {}  # allowed back-row set -> (its subsets ascending, their _steps), filled when met
     base = _clique_sum([], 0, 0, s - 1, t)  # copies on v alone, before its edges
     best_value = -1
@@ -493,7 +509,7 @@ def max_over_free(n: int, k: int, s: int, t: int | None = None) -> Witness:
     if n < 0 or k < 0 or s < 1 or (t is not None and t < 1):
         raise ValueError(f"bad arguments n={n}, k={k}, s={s}, t={t}")
     value, mask = _scan_free_max(n, k, s, 0 if t is None else t)
-    graph = Graph(n, _rows_from_mask(n, mask, _edge_slots(n)))
+    graph = Graph._trusted(n, _rows_from_mask(n, mask, _edge_slots(n)))
     return Witness(graph, value, ExtremalParams(n=n, k=k, s=s, t=t))
 
 
@@ -660,7 +676,7 @@ def verify_bondy_chvatal(n: int) -> list[Check]:
         raise ValueError(f"need n >= 0, got n={n}")
     slots = _edge_slots(n)
     slot_of = {pair: i for i, pair in enumerate(slots)}
-    canon = _back_masks(n)
+    canon = _BACK_MASKS[n]
     full = (1 << n) - 1
     cases = 0
     found = []  # (mask, slot, text), sorted at the end

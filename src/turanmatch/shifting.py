@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from .graph import Edge, Graph
+from .graph import Edge, Graph, _check_vertex_count
 
 
 def _check_pair(g: Graph, i: int, j: int) -> None:
@@ -57,7 +57,7 @@ def shift_graph(g: Graph, i: int, j: int) -> Graph:
     Edge count is always preserved; only edges incident to i or j can move.
     """
     _check_pair(g, i, j)
-    return Graph(g.n, _shift_adj(list(g.adj), i - 1, j - 1))
+    return Graph._trusted(g.n, _shift_adj(list(g.adj), i - 1, j - 1))
 
 
 def is_shifted(g: Graph) -> bool:
@@ -95,7 +95,7 @@ def compress(g: Graph) -> Graph:
                 if moved:
                     adj = _shift_adj(adj, i, j)
                     changed = True
-    return Graph(g.n, adj)
+    return Graph._trusted(g.n, adj)
 
 
 def shifted_graphs(n: int) -> Iterator[Graph]:
@@ -111,11 +111,12 @@ def shifted_graphs(n: int) -> Iterator[Graph]:
         if n == 0:
             yield Graph(0, [])
         return
+    _check_vertex_count(n)
     adj = [0] * n
 
     def rec(c: int, prev_h: int, prev_full: bool) -> Iterator[Graph]:
         if c == n:
-            yield Graph(n, adj)
+            yield Graph._trusted(n, adj)
             return
         options = list(range(min(prev_h, c) + 1))
         if prev_full:

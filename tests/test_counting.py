@@ -212,6 +212,8 @@ def test_widest_back_row_has_the_most_copies(g, data):
 @given(graphs(min_n=1, max_n=7), st.integers(0, 127), st.integers(0, 127),
        st.integers(0, 4), st.integers(0, 3))
 @example(complete_graph(3), 0b011, 0b100, 2, 1)  # K = {1, 2} lies outside common
+@example(complete_graph(4), 0b0111, 0b1000, 1, 0)  # plain counts close by popcount: 3 vertices
+@example(complete_graph(4), 0b0111, 0b1000, 2, 0)  # and 3 edges, common unread
 def test_clique_sum_reads_common_apart_from_cand(g, cand, common, s, t):
     # the kernel's contract with ``cand`` and ``common`` unrelated: bicliques
     # read it with cand = X and common = Y, two disjoint sets

@@ -94,14 +94,29 @@ def test_extremal_graph_range_errors():
 
 
 def test_graph_rejects_asymmetry_and_loops():
+    # package code stores the rows it builds unchecked (``Graph._trusted``),
+    # so every public entry point keeps the checks
     with pytest.raises(ValueError):
         Graph(2, [0b10, 0b00])
     with pytest.raises(ValueError):
         Graph(1, [0b1])
+    for rows in ([0b100, 0b000], [0b10]):  # a vertex beyond n, a row missing
+        with pytest.raises(ValueError):
+            Graph(2, rows)
+    for edges in ([(1, 1)], [(1, 4)], [(0, 2)]):
+        with pytest.raises(ValueError):
+            Graph.from_edges(3, edges)
     with pytest.raises(ValueError):
-        Graph.from_edges(3, [(1, 1)])
+        BipartiteGraph(2, 2, [0b100, 0b00])
     with pytest.raises(ValueError):
-        Graph.from_edges(3, [(1, 4)])
+        BipartiteGraph.from_edges(2, 2, [(1, 3)])
+    for text, error in (("2 1\n1 1", SelfLoopError), ("3 1\n1 4", LabelRangeError),
+                        ("3 1\n0 2", LabelRangeError), ("3 1\n2 1", MalformedLineError)):
+        with pytest.raises(error):
+            parse_graph(text)
+    for text in ("2 2 1\n3 1", "2 2 1\n1 3", "2 2 1\n0 1"):
+        with pytest.raises(LabelRangeError):
+            parse_bipartite(text)
 
 
 def test_edge_type_orders_endpoints():

@@ -65,6 +65,7 @@ def test_witnesses_are_valid():
     for n, k, s, t in ((5, 1, 2, None), (5, 2, 3, None), (5, 1, 1, 2)):
         w = max_over_free(n, k, s, t)
         assert matching_number(w.graph) <= k
+        assert Graph(n, w.graph.adj) == w.graph  # the unchecked witness rows pass the checks
         recount = count_cliques(w.graph, s) if t is None else count_star(w.graph, s, t)
         assert recount == w.value
 
@@ -492,19 +493,19 @@ def test_last_vertex_bound_comes_before_the_matching_tests(counted):
 def test_completion_bound_prunes_above_the_last_vertex(counted):
     calls = counted("_clique_gain")
     assert max_over_free(7, 3, 3).value == 35
-    assert calls[0] < 1_000  # 311; 234,982 when only the last vertex is bounded
+    assert calls[0] < 1_000  # 27; 234,982 when only the last vertex is bounded
 
 
 def test_loose_bound_skipped_when_it_cannot_prune(counted):
     calls = counted("_clique_gain")
     assert max_over_free(7, 1, 2).value == 6
-    assert calls[0] < 1_000  # 323; 1,597 with every last vertex bounded before its matching tests
+    assert calls[0] < 1_000  # 318; 1,597 with every last vertex bounded before its matching tests
 
 
 def test_child_table_cuts_the_last_level_chains(counted):
     calls = counted("_clique_gain")
     assert max_over_free(7, 2, 2).value == 11
-    assert calls[0] <= 25_000  # 14,311; 60,880 with a chain of 6 gains per last-level parent
+    assert calls[0] <= 25_000  # 14,288; 60,880 with a chain of 6 gains per last-level parent
 
 
 def test_scan_tabulates_each_allowed_back_row_set_once(counted):
@@ -766,10 +767,10 @@ def test_unbounded_levels_walk_the_widest_child_without_tables(counted):
     gains = counted("_clique_gain")
     steps = counted("_steps")
     assert max_over_free(6, 5, 2, 3).value == 60
-    assert gains[0] <= 40 and steps[0] == 0  # 30 and 0; 83 and 6 with a table at every level
+    assert gains[0] <= 40 and steps[0] == 0  # 20 and 0; 83 and 6 with a table at every level
     gains[0] = 0
     assert max_over_free(7, 3, 3).value == 35
-    assert gains[0] <= 60  # 42; 177 with a table at every level
+    assert gains[0] <= 60  # 27; 177 with a table at every level
     assert steps[0] == 0
     assert max_over_free(7, 2, 2).value == 11 and steps[0] > 0  # a bounded scan tabulates
 
@@ -847,6 +848,58 @@ def test_widest_child_inherits_its_parents_entry(g, data):
     assert oracle._sibling_top(rows, below, rows[v], top, s, t) == max(drops, default=-1)
 
 
+def _twinned(adj, twins, perm):
+    """``adj``'s rows with one vertex added per (a, closed) of ``twins``, an
+    open twin of vertex a (a's row) or a closed one (a's row and a), then
+    relabelled in the order of ``perm``'s entries below the vertex count."""
+    rows = list(adj)
+    for a, closed in twins:
+        a %= len(rows)
+        row = rows[a] | closed << a
+        rows = [r | 1 << len(rows) if row >> u & 1 else r for u, r in enumerate(rows)]
+        rows.append(row)
+    order = [p for p in perm if p < len(rows)]
+    out = [0] * len(rows)
+    for u, row in enumerate(rows):
+        out[order[u]] = sum(1 << order[w] for w in range(len(rows)) if row >> w & 1)
+    return out
+
+
+@given(graphs(min_n=1, max_n=4), st.lists(st.tuples(st.integers(0, 7), st.booleans()), max_size=3),
+       st.permutations(range(7)), st.integers(0, 127), st.integers(0, 2),
+       st.integers(1, 4), st.integers(0, 3))
+@example(Graph.from_edges(4, [(1, 3), (1, 4), (2, 4)]), [], range(7), 0b11, 0, 1, 2)  # rows agreeing only inside allowed
+@example(complete_graph(3), [(0, True), (1, False)], range(7), 0b11111, 2, 2, 3)
+def test_sibling_top_makes_one_gain_per_twin_class(g, twins, perm, allowed, later, s, t):
+    # twins of ``allowed``, rows equal with or without themselves, are swapped
+    # by an automorphism of the graph with v joined to ``allowed`` and
+    # ``joined``, so they gain alike: one gain per class gives the maximum
+    # over every vertex, on parent rows (``joined`` empty) and on completions
+    adj = _twinned(g.adj, twins, perm)
+    v = len(adj)
+    allowed &= (1 << v) - 1
+    rows, joined = adj, 0
+    if later:
+        rows = oracle._completion_rows(adj, v + later)
+        joined = rows[v]
+    top = 100
+    drops = [top - _clique_gain(rows, rows[w], allowed ^ 1 << w | joined, s, t)
+             for w in range(v) if allowed >> w & 1]
+    assert oracle._sibling_top(rows, allowed, joined, top, s, t) == max(drops, default=-1)
+
+
+def test_sibling_check_gains_once_per_twin_class(counted):
+    # along an unbounded scan's widest path every parent is complete, so the
+    # allowed vertices of each sibling check are closed twins in its
+    # completion: one edge gain serves the whole check
+    gains = counted("_clique_gain")
+    assert max_over_free(6, 5, 2, 3).value == 60
+    assert gains[0] <= 24  # 20; 30 with one gain per vertex
+    gains[0] = 0
+    assert max_over_free(7, 3, 3).value == 35
+    assert gains[0] <= 32  # 27; 42 with one gain per vertex
+
+
 def test_grow_tables_cut_the_probes(counted):
     probes = _probes(counted)
     assert verify_bondy_chvatal(6)[0].cases == 245_760
@@ -880,9 +933,11 @@ def test_a_grown_childs_grow_lies_inside_its_parents(g, data):
 
 
 def test_back_masks_set_the_slot_of_each_back_edge():
-    for n in range(8):
+    # the scans read the tables made at import, one per n up to the cap
+    assert len(oracle._BACK_MASKS) == oracle.MAX_ORACLE_VERTICES + 1
+    for n, canon in enumerate(oracle._BACK_MASKS):
         slots = oracle._edge_slots(n)
-        canon = oracle._back_masks(n)
+        assert isinstance(canon, tuple) and all(isinstance(table, tuple) for table in canon)
         for v in range(n):
             for back in range(1 << v):
                 expected = sum(1 << slots.index((u, v)) for u in range(v) if back >> u & 1)

@@ -142,3 +142,11 @@ def test_shifted_graphs_matches_predicate_filter():
 def test_shifted_graphs_are_compress_fixpoints():
     for g in shifted_graphs(5):
         assert compress(g) == g
+
+
+@given(graphs_with_pair(max_n=8))
+def test_built_graphs_pass_the_public_checks(gij):
+    # shift_graph, compress and shifted_graphs store their rows unchecked
+    g, i, j = gij
+    for h in (shift_graph(g, i, j), compress(g), *shifted_graphs(min(g.n, 6))):
+        assert Graph(h.n, h.adj) == h and Graph(h.n, h.adj).m == h.m

@@ -1,4 +1,5 @@
-"""Mutation check for the oracle's comparisons, tie-breaks and grow rule.
+"""Mutation check for the oracle's comparisons, tie-breaks, grow rule and
+twin classes, and the count kernel's closed levels.
 
 Each mutant names one exact snippet of a source file, its replacement, and
 the pytest selection that should fail once the snippet is replaced.  For
@@ -29,6 +30,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 ORACLE = "src/turanmatch/oracle.py"
 MATCHING = "src/turanmatch/matching.py"
+COUNTING = "src/turanmatch/counting.py"
 TESTS = "tests/test_oracle.py"
 
 # (name, file, snippet, replacement, pytest selection)
@@ -59,6 +61,26 @@ MUTANTS = [
      "if _sibling_top(rows, allowed, rows[v], top, s, t) < best_value:",
      "if _sibling_top(rows, allowed, rows[v], top, s, t) <= best_value:",
      [f"{TESTS}::test_a_narrower_back_row_tying_the_best_is_walked"]),
+    ("last-vertex-prune-drops-ties", ORACLE,
+     "if value + widest < best_value:",
+     "if value + widest <= best_value:",
+     [f"{TESTS}::test_max_over_free_matches_leaf_recount_reference"]),
+    ("twin-key-merges-non-twins", ORACLE,
+     "if row in seen or row | low in seen:  # a twin of a vertex met: the same gain\n"
+     "            continue\n"
+     "        seen.update((row, row | low))",
+     "if row & allowed in seen or (row | low) & allowed in seen:\n"
+     "            continue\n"
+     "        seen.update((row & allowed, (row | low) & allowed))",
+     [f"{TESTS}::test_sibling_top_makes_one_gain_per_twin_class"]),
+    ("clique-level-one-miscounts", COUNTING,
+     "return cand.bit_count()",
+     "return cand.bit_count() + 1",
+     ["tests/test_counting.py::test_clique_sum_reads_common_apart_from_cand"]),
+    ("clique-level-two-reads-common", COUNTING,
+     "total += (cand & adj[b.bit_length() - 1]).bit_count()",
+     "total += (cand & common & adj[b.bit_length() - 1]).bit_count()",
+     ["tests/test_counting.py::test_clique_sum_reads_common_apart_from_cand"]),
     ("closure-gap-unclamped", ORACLE,
      "meet & (holding[max(gap + 2, 0)] if gap <= 0 else 0)",
      "meet & (holding[gap + 2] if -2 <= gap <= 0 else 0)",
