@@ -2,68 +2,19 @@
 
 Maxima are independent of the closed-form evaluators: they come from
 enumerating all labeled graphs (bitmasks over the C(n,2) edge slots) with
-matching number at most k.  The structural laws are checked instance by
-instance, reporting any counterexample in full; the saturated König host's
-count is compared with ``extremal.bip_split_count``, and the shift laws are
-one table of quantities measured once per graph, before its shifts.  A law
-check skips only what cannot change its verdict.  The König check fills
-rows from the most significant down, carrying a maximum matching: each fill
-node finds the Y-vertices from which its new X-vertex would augment, one
-search per single-vertex row, so a row missing them keeps the matching
-uncopied and only a row meeting them searches; a row prefix whose matching
-number already exceeds k is dropped with every completion, and a case's
-biclique counts are scored once per sorted row tuple, since permuting
-X-rows changes none.  The degree closure takes each parent of the last
-vertex from one vertex-row walk, which carries the matching number and
-``grow`` down by the general scan's rule, and picks the (back-row, pair)
-tests meeting the degree sum in bulk, as sets of back-rows, before any
-matching test.
-
-Enumeration prunes a branch as soon as the partial graph's matching number
-exceeds k, which discards only graphs whose every completion is also over
-the bound; when no completion can exceed k the feasibility test is skipped.
-The general scan walks vertex rows from the empty graph: each vertex v is
-one DFS level choosing v's back-row, its neighbours below v.  Since nu <= k is
-hereditary for induced subgraphs, the bound prunes at every vertex through
-its ``grow`` mask, which each parent hands to all its children by bit
-operations on one matching table of its own (``_grow_table``), the rule
-both vertex-row walks share.  The pattern count is carried down, each
-back-row adding the copies through v, so no leaf is recounted.
-Copies never fall when edges are added, so a child's widest completion
-bounds every leaf under it: where the matching bound prunes, each parent
-above the last vertex tabulates that count for all its children at once,
-one direct count and one edge gain per back-row, and a child is skipped
-unless its entry beats the best or ties it with a smaller mask.  An entry
-equal to the child's own count, later vertices left isolated, makes that
-empty completion the subtree's best leaf.  Below a graph whose matching
-number is already k, ``grow`` only gains vertices, so every later vertex may
-join only the vertices outside its ``grow``, the ones every maximum
-matching covers, and never another later vertex: that is its widest
-completion.  A parent at k tabulates the one its own ``grow`` allows, and
-elsewhere each later vertex is joined to all others, by the same row build;
-a child whose matching number is k, above the last two levels, is then
-bounded again by the narrower completion its own ``grow`` allows, before
-it is walked.  The counts and the tables run one chain of edge gains over
-the allowed back-rows, tabulated once per scan for each allowed set, when
-first met.  Children go widest back-row first, so a near-best graph sets
-the best early.  Where no completion can exceed k, the widest child's
-widest completion is the parent's own, the same graph, so it takes the
-parent's entry and is walked first with no table; its count is one path of
-edge gains, and the parent then returns unless a back-row one vertex
-narrower, which holds every other child, ties the best; those back-rows
-are counted once per twin class of the allowed vertices, since twins lose
-the same copies.  The last vertex counts its widest allowed back-row, which
-has the most copies, by the same path, and scores the rest only when a
-back-row one vertex narrower ties it, for the smallest tied mask.  The
-edge-mask tables of the back-rows are made once per n, at import.
-The bipartite scan scores one member per orbit of X-row permutations, an
-ascending tuple of rows read from the most significant down, which is the
-orbit's smallest mask and shares its matching number and biclique count;
-the tuples arrive in mask order.  Witness ties break on the smallest
-edge mask under the canonical lexicographic slot order, whatever order the
-graphs are visited in: the vertex scan maps each back-row to its edge mask
-in that order, so the witnesses are those of an edge-slot scan.  Each scan
-runs once, in this process.
+matching number at most k.  ``max_over_free`` finds the largest s-clique or
+clique-star count on n vertices, by one pruned DFS over vertex rows whose
+rules are written out in the ``_scan_free_max`` docstring;
+``max_over_free_bip`` finds the largest biclique count over bipartite
+graphs with the given parts; ``iter_free_graphs`` yields every graph
+with matching number at most k.  The law checks (``verify_shift_lemmas``,
+``verify_shifted_structure``, ``verify_bondy_chvatal``,
+``verify_koenig_gstar``) test the structural laws instance by instance and
+report every counterexample in full; each docstring gives its walk, and a
+walk skips only what cannot change the verdict.  Witness ties break on the
+smallest edge mask under the canonical lexicographic slot order, whatever
+order the graphs are visited in (for a bipartite graph, the smallest
+biadjacency mask).  Each scan runs once, in this process.
 """
 
 from __future__ import annotations
@@ -117,8 +68,9 @@ class Check:
         return "pass" if self.cases else "empty"
 
 
-def _edge_slots(n: int) -> list[tuple[int, int]]:
-    return [(u, v) for u in range(n) for v in range(u + 1, n)]
+def _edge_slots(n: int) -> tuple[tuple[int, int], ...]:
+    """The vertex pairs of n vertices, in the lexicographic slot order."""
+    return tuple((u, v) for u in range(n) for v in range(u + 1, n))
 
 
 def _rows_from_mask(n: int, mask: int, slots) -> list[int]:
@@ -257,6 +209,7 @@ def _back_masks(n: int) -> tuple[tuple[int, ...], ...]:
 
 
 _BACK_MASKS = tuple(map(_back_masks, range(MAX_ORACLE_VERTICES + 1)))  # made once per n, at import
+_EDGE_SLOTS = tuple(map(_edge_slots, range(MAX_ORACLE_VERTICES + 1)))  # likewise
 
 
 def _steps(backs) -> list[tuple[int, int, int]]:
@@ -297,14 +250,15 @@ def _completion_rows(adj, n, reach=-1) -> list[int]:
     return rows
 
 
-def _completion_counts(adj, n, steps, s, t, reach=-1) -> list[int]:
-    """Pattern counts of the widest completions (``_completion_rows``) of
-    the children of the parent rows ``adj``: entry i has v = len(adj) take
-    the back-row backs[i] (``steps`` as ``_steps`` lists it over
-    ``backs``).  One direct count with v's row empty of back-row bits, then
-    one edge gain per back-row."""
-    rows = _completion_rows(adj, n, reach)
-    return _chain(rows, steps, _clique_top_sum(rows, s, t), rows[len(adj)], s, t)
+def _completion(adj, n, reach, s, t, memo) -> tuple[list[int], int]:
+    """The rows of the widest completion of the parent rows ``adj`` to
+    ``reach`` (``_completion_rows``), v = len(adj) taking no back-row yet,
+    and their pattern count, kept in ``memo``, the parent's dict by
+    ``reach``, so each completion a parent reads is counted once."""
+    if reach not in memo:
+        rows = _completion_rows(adj, n, reach)
+        memo[reach] = rows, _clique_top_sum(rows, s, t)
+    return memo[reach]
 
 
 def _path_gain(adj, back, s, t, joined=0) -> int:
@@ -319,23 +273,6 @@ def _path_gain(adj, back, s, t, joined=0) -> int:
         back ^= low
         total += _clique_gain(adj, adj[low.bit_length() - 1], back | joined, s, t)
     return total
-
-
-def _own_top(adj, n, grow, back, s, t, owns) -> int:
-    """The pattern count of the widest completion of a child at the scan's
-    bound k, the child joining v = len(adj) to ``back`` below the parent
-    rows ``adj`` and having the mask ``grow``: below it ``grow`` only gains
-    vertices, so each later vertex joins only the child's vertices outside
-    ``grow``, its ``reach``, and never another later vertex.  The count of
-    the parent's completion to that ``reach``, v taking no back-row yet, is
-    kept in ``owns`` for the siblings sharing it; v's back-row then adds one
-    path of edge gains."""
-    reach = ((2 << len(adj)) - 1) & ~grow
-    if reach not in owns:
-        rows = _completion_rows(adj, n, reach)
-        owns[reach] = rows, _clique_top_sum(rows, s, t)
-    rows, first = owns[reach]
-    return first + _path_gain(rows, back, s, t, rows[len(adj)])
 
 
 def _sibling_top(rows, allowed, joined, top, s, t) -> int:
@@ -366,59 +303,76 @@ def _sibling_top(rows, allowed, joined, top, s, t) -> int:
 
 
 def _scan_free_max(n, k, s, t):
-    """Best (value, mask) over free graphs on n vertices.
+    """Best (value, mask) over free graphs on n vertices; the scan's rules.
 
     Each vertex v is one DFS level that picks v's back-row B, the
-    neighbours of v below it.  Over the back-rows of one parent the count
-    grows as val[B] = val[B - w] + (copies through the edge vw), read off
-    the parent graph (``_chain``).  The allowed back-rows and their
-    ``_steps`` come from one dict per scan, filled when each allowed set is
-    first met: building all 2^(n-1) sets up front costs more than a small
-    scan's walk.
-    A back-row raises the matching number exactly when it meets the parent's
-    ``grow``, so at nu = k only subsets of the other vertices are visited.
+    neighbours of v below it.  The pattern count is carried down: over the
+    back-rows of one parent it grows as val[B] = val[B - w] + (copies
+    through the edge vw), read off the parent graph (``_chain``).  The
+    allowed back-rows and their ``_steps`` come from one dict per scan,
+    filled when each allowed set is first met: building all 2^(n-1) sets up
+    front costs more than a small scan's walk.  A graph's mask is the OR of
+    the import-time ``_BACK_MASKS`` entries along its path, its edge mask in
+    the lexicographic slot order, so the smallest-mask witness is the
+    edge-slot order's whatever the visit order.  Children go widest
+    back-row first, so a near-best graph sets the best early.
+
+    The matching bound.  nu <= k is hereditary for induced subgraphs, so it
+    prunes at every vertex: a back-row raises the matching number exactly
+    when it meets the parent's ``grow``, the vertices some maximum matching
+    misses, so at nu = k only subsets of the other vertices are visited.
     Each child's ``grow`` is handed down by ``_handed_grow`` from the
     parent's ``_grow_table`` over its allowed back-rows, made at its first
-    child walked; a parent where no completion can exceed k, and so each of
-    its children, makes no table and reads no mask.  Copies never fall when edges are added, and every leaf below
-    keeps the child's mask bits, so a child is skipped before its rows are
-    built when the count of its widest completion is below the best, or
-    equal to it with a mask no smaller than the best's.  When it equals the
-    child's own count, later vertices isolated, that empty completion is a
-    best leaf of the subtree with its smallest mask, and it is recorded in
-    the subtree's place.
-    Where the matching bound prunes (``bounded``), each parent above the
-    last vertex tabulates those counts for all its children
-    (``_completion_counts``).  At nu = k, which above the last vertex needs
-    k < n // 2 and so the searches, every vertex below keeps nu = k, so by
-    inheritance each later vertex may join only the parent's allowed
-    vertices, never v nor another later vertex, and the table joins it to
-    exactly those (``reach`` = the allowed set); elsewhere each later vertex
-    is joined to all others (every vertex), by the same ``_chain``.  A
-    child that survives its entry with nu = k, two or more levels above the
-    last vertex, is bounded again by its own widest completion
-    (``_own_top``): each later vertex joined only to the child's vertices
-    outside its own ``grow``, a subgraph of the completion its entry
-    counted, so it takes the smaller count.  At the level above the last
-    vertex the children are scored at once by one path of gains over the
-    back-rows they allow, so they keep the table's entries.
-    Children go widest back-row first, so a near-best graph sets the best
-    early.  Where no completion can exceed k, a parent visits its widest
-    child first without a table: that child's widest completion, every
-    later vertex joined to all others, is the parent's own widest
-    completion, the same graph, so the parent's entry ``top`` is passed
-    down to it, and its count takes one path of edge gains
-    (``_path_gain``).  After its subtree the best is at least ``top``; every
-    other child lies inside the back-row ``allowed`` less some vertex, so
-    the parent returns when those entries (``_sibling_top``) are all below
-    the best, and otherwise walks the rest from the tables.  The last
-    vertex likewise counts its widest allowed back-row by one path, which
-    has the most copies: a parent whose count there is below the best
-    returns at once, and the whole chain is built only when a back-row one
-    vertex narrower ties it, to find the smallest tied mask.  A graph's mask
-    is the OR of ``_back_masks`` entries along its path, its edge mask in
-    the lexicographic slot order, so the smallest-mask witness is the
-    edge-slot order's whatever the visit order.
+    child walked.  A parent where no completion can exceed k (not
+    ``bounded``), and so each of its children, makes no table and reads no
+    mask.
+
+    The completion bound.  Copies never fall when edges are added, and
+    every leaf below keeps the child's mask bits, so a child is skipped
+    before its rows are built when the count of its widest completion is
+    below the best, or equal to it with a mask no smaller than the best's.
+    When it equals the child's own count, later vertices isolated, that
+    empty completion is a best leaf of the subtree with its smallest mask,
+    and it is recorded in the subtree's place.  Each such count starts from
+    ``_completion``: the parent's rows, v taking no back-row yet, with each
+    later vertex joined to a set ``reach``, counted once per parent and
+    ``reach`` in the parent's ``memo``; v's back-row then adds its edge
+    gains.
+    - Where the matching bound prunes, each parent above the last vertex
+      tabulates those counts for all its children, one ``_chain`` over its
+      allowed back-rows.  Below a graph at nu = k, ``grow`` only gains
+      vertices, so each later vertex may join only the vertices outside
+      ``grow`` and never another later vertex.  At nu = k, which above the
+      last vertex needs k < n // 2 and so the searches, every child keeps
+      nu = k, and the table's ``reach`` is the parent's allowed set;
+      elsewhere it is every vertex (-1), each later vertex joined to all
+      others.
+    - A child that survives its entry with nu = k, two or more levels
+      above the last vertex, is bounded again by its own widest
+      completion, whose ``reach`` is the child's vertices outside its own
+      ``grow``: a subgraph of the completion its entry counted, so it takes
+      the smaller count, the parent's count at that ``reach`` plus one path
+      of edge gains (``_path_gain``).  A child whose ``grow`` gained only v
+      reaches the parent's allowed set, the count its table started from.
+      At the level above the last vertex the children keep the table's
+      entries.
+    - Where no completion can exceed k, a parent visits its widest child
+      first without a table: that child's widest completion, every later
+      vertex joined to all others, is the parent's own, the same graph, so
+      the parent's entry ``top`` is passed down to it, and its count takes
+      one path of gains.  After its subtree the best is at least ``top``;
+      every other child lies inside the back-row ``allowed`` less some
+      vertex, so the parent returns when those entries (``_sibling_top``)
+      are all below the best.  Otherwise it walks the rest from the table
+      at ``reach`` -1, storing that completion's count as ``top`` less the
+      path of gains to ``allowed``, so the table counts nothing again.
+      That is exact: such a parent has nu < k (nu <= v // 2 < n // 2 above
+      the last vertex), so ``top`` is the root's (K_n), its parent's own
+      ``top`` or an entry of a table at ``reach`` -1.
+    - The last vertex likewise counts its widest allowed back-row by one
+      path, which has the most copies: a parent whose count there is below
+      the best returns at once, and the whole chain is built only when a
+      back-row one vertex narrower ties it, to find the smallest tied mask.
     """
     if not n:
         return 0, 0
@@ -456,6 +410,8 @@ def _scan_free_max(n, k, s, t):
                 best_value, best_mask = value + widest, low
             return
 
+        memo = {}  # this parent's completions by reach, with their counts (_completion)
+
         def children():  # (back-row, its count, its widest completion's), widest first
             first = 0
             if not bounded:
@@ -463,10 +419,12 @@ def _scan_free_max(n, k, s, t):
                 rows = _completion_rows(adj, n)
                 if _sibling_top(rows, allowed, rows[v], top, s, t) < best_value:
                     return
+                memo[-1] = rows, top - _path_gain(rows, allowed, s, t, rows[v])  # top less v's back-row
                 first = 1
             backs, steps = tabulated(allowed)
             vals = _chain(adj, steps, base, 0, s, t)
-            tops = _completion_counts(adj, n, steps, s, t, allowed if nu == k else -1)
+            rows, entry = _completion(adj, n, allowed if nu == k else -1, s, t, memo)
+            tops = _chain(rows, steps, entry, rows[v], s, t)
             yield from islice(zip(reversed(backs), reversed(vals), reversed(tops)), first, None)
 
         hits = None  # the parent's _grow_table, made at its first child walked
@@ -479,12 +437,12 @@ def _scan_free_max(n, k, s, t):
             if bounded:
                 if hits is None:
                     hits = _grow_table(adj, nu, grow, allowed)
-                    owns = {}  # _own_top's completions, shared by the children at nu = k
                 if back & grow:
                     cnu += 1
                 cgrow = _handed_grow(hits, grow, v, back)
                 if cnu == k and v < n - 2:  # the child's own widest completion bounds it
-                    ctop = min(ctop, _own_top(adj, n, cgrow, back, s, t, owns))
+                    rows, entry = _completion(adj, n, ((2 << v) - 1) & ~cgrow, s, t, memo)
+                    ctop = min(ctop, entry + _path_gain(rows, back, s, t, rows[v]))
                     if ctop < best_value or (ctop == best_value and cmask >= best_mask):
                         continue
             if ctop == value + extra + empty:  # the empty completion is a best leaf
@@ -492,7 +450,7 @@ def _scan_free_max(n, k, s, t):
                 continue
             rec(_child(adj, back), cnu, cgrow, value + extra, cmask, ctop)
 
-    rec([], 0, 0, 0, 0, _completion_counts([], n, [], s, t)[0])  # the root's entry: K_n
+    rec([], 0, 0, 0, 0, _completion([], n, -1, s, t, {})[1])  # the root's entry: K_n
     return best_value, best_mask
 
 
@@ -509,7 +467,7 @@ def max_over_free(n: int, k: int, s: int, t: int | None = None) -> Witness:
     if n < 0 or k < 0 or s < 1 or (t is not None and t < 1):
         raise ValueError(f"bad arguments n={n}, k={k}, s={s}, t={t}")
     value, mask = _scan_free_max(n, k, s, 0 if t is None else t)
-    graph = Graph._trusted(n, _rows_from_mask(n, mask, _edge_slots(n)))
+    graph = Graph._trusted(n, _rows_from_mask(n, mask, _EDGE_SLOTS[n]))
     return Witness(graph, value, ExtremalParams(n=n, k=k, s=s, t=t))
 
 
@@ -562,7 +520,7 @@ def verify_shift_lemmas(
 
     Laws: edge-count conservation; matching number never grows; clique counts
     (sizes 2..max_s) and star-pair counts (sides up to max_s, max_t) never
-    shrink.
+    shrink.  Each graph's quantities are measured once, before its shifts.
     """
     titles = {
         "edges": "edge-conservation",
@@ -579,7 +537,7 @@ def verify_shift_lemmas(
             raise CapacityError("exhaustive shift verification capped at n <= 6")
         if n < 0:
             raise ValueError(f"need n >= 0, got n={n}")
-        slots = _edge_slots(n)
+        slots = _EDGE_SLOTS[n]
 
         def instances():  # (graph, its pairs)
             for mask in range(1 << len(slots)):
@@ -674,8 +632,7 @@ def verify_bondy_chvatal(n: int) -> list[Check]:
         raise CapacityError(f"capped at n <= {MAX_ORACLE_VERTICES}")
     if n < 0:
         raise ValueError(f"need n >= 0, got n={n}")
-    slots = _edge_slots(n)
-    slot_of = {pair: i for i, pair in enumerate(slots)}
+    slot_of = {pair: i for i, pair in enumerate(_EDGE_SLOTS[n])}
     canon = _BACK_MASKS[n]
     full = (1 << n) - 1
     cases = 0

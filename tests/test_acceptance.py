@@ -83,7 +83,7 @@ def test_c05_shift_laws_exhaustive_and_random():
     with report("5 (shift laws)"):
         for n in range(1, 6):
             for check in verify_shift_lemmas(n, max_s=3, max_t=3):
-                assert check.ok, check
+                assert check.status == ("pass" if n > 1 else "empty"), check  # n = 1 has no pair
         for check in verify_shift_lemmas(10, samples=10_000, seed=0, max_s=3, max_t=3):
             assert check.ok, check
 
@@ -100,7 +100,7 @@ def test_c07_degree_closure_exhaustive():
     with report("7 (degree closure, n<=6)"):
         for n in range(1, 7):
             (check,) = verify_bondy_chvatal(n)
-            assert check.ok, check
+            assert check.status == ("pass" if n > 1 else "empty"), check  # n = 1 has no non-edge
 
 
 def test_c08_construction_counts_match_closed_forms():

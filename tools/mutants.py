@@ -45,10 +45,31 @@ MUTANTS = [
      [f"{TESTS}::test_handed_grow_is_each_childs_grow_afresh",
       f"{TESTS}::test_last_parents_yield_each_free_parent_once_with_its_grow_and_mask"]),
     ("own-entry-reaches-the-parents-allowed-set", ORACLE,
-     "_own_top(adj, n, cgrow, back, s, t, owns)",
-     "_own_top(adj, n, ~allowed, back, s, t, owns)",
+     "_completion(adj, n, ((2 << v) - 1) & ~cgrow, s, t, memo)",
+     "_completion(adj, n, allowed, s, t, memo)",
      [f"{TESTS}::test_pruned_seven_vertex_scans_match_reference",
       f"{TESTS}::test_max_over_free_matches_leaf_recount_reference"]),
+    ("table-check-drops-ties", ORACLE,
+     "cmask = mask | table[back]\n"
+     "            if ctop < best_value or",
+     "cmask = mask | table[back]\n"
+     "            if ctop <= best_value or",
+     [f"{TESTS}::test_max_over_free_matches_leaf_recount_reference"]),
+    ("own-bound-drops-ties", ORACLE,
+     "ctop = min(ctop, entry + _path_gain(rows, back, s, t, rows[v]))\n"
+     "                    if ctop < best_value or",
+     "ctop = min(ctop, entry + _path_gain(rows, back, s, t, rows[v]))\n"
+     "                    if ctop <= best_value or",
+     [f"{TESTS}::test_max_over_free_matches_leaf_recount_reference",
+      f"{TESTS}::test_pruned_seven_vertex_scans_match_reference"]),
+    ("empty-completion-counts-v-twice", ORACLE,
+     "empty = (n - v - 1) * base",
+     "empty = (n - v) * base",
+     [f"{TESTS}::test_tied_tasks_stop_at_the_empty_completion"]),
+    ("stored-entry-one-short", ORACLE,
+     "memo[-1] = rows, top - _path_gain(",
+     "memo[-1] = rows, top - 1 - _path_gain(",
+     [f"{TESTS}::test_tied_siblings_fall_back_to_the_stored_entry"]),
     ("missable-probes-one-size-short", MATCHING,
      "if _exists_matching(adj, full ^ b, r):",
      "if _exists_matching(adj, full ^ b, r - 1):",
