@@ -23,7 +23,7 @@ import operator
 import random
 from dataclasses import dataclass
 from functools import partial
-from itertools import combinations, combinations_with_replacement, islice
+from itertools import combinations, combinations_with_replacement
 from math import comb
 
 from .counting import _bip_sum, _clique_gain, _clique_sum, _clique_top_sum
@@ -54,10 +54,6 @@ class Check:
     cases: int
     violations: tuple[str, ...] = ()
     seed: int | None = None
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
 
     @property
     def status(self) -> str:
@@ -233,14 +229,14 @@ def _chain(rows, steps, first, joined, s, t) -> list[int]:
     return counts
 
 
-def _completion_rows(adj, n, reach=-1) -> list[int]:
+def _completion_rows(adj, n, reach) -> list[int]:
     """The rows of the widest completion of the parent rows ``adj`` on n
     vertices, v = len(adj) taking no back-row yet: each later vertex is
-    joined to the vertices of ``reach`` but itself, by default to all
-    others; with ``reach`` inside v and the vertices below it, to those
-    only, so the later vertices are independent: the widest completion of a
-    graph at matching number k whose ``reach`` is the vertices every
-    maximum matching covers (``_scan_free_max``)."""
+    joined to the vertices of ``reach`` but itself, at -1 to all others;
+    with ``reach`` inside v and the vertices below it, to those only, so
+    the later vertices are independent: the widest completion of a graph
+    at matching number k whose ``reach`` is the vertices every maximum
+    matching covers (``_scan_free_max``)."""
     v = len(adj)
     full = (1 << n) - 1
     later = full ^ ((2 << v) - 1)
@@ -275,31 +271,24 @@ def _path_gain(adj, back, s, t, joined=0) -> int:
     return total
 
 
-def _sibling_top(rows, allowed, joined, top, s, t) -> int:
-    """The largest count among the back-rows ``allowed`` less one vertex w
-    of a vertex v whose row is ``joined`` plus its back-row, given ``top``,
-    the count at ``allowed``: each is ``top`` less the copies through the
-    edge vw, read off ``rows`` (-1 when ``allowed`` is empty).  Copies never
-    fall when edges are added, and every other subset of ``allowed`` lies
-    inside one of them, so this bounds them all.  One gain is made per twin
-    class of ``allowed``: two of its vertices whose rows are equal (open
-    twins), or equal once each holds itself (closed twins), are swapped by
-    an automorphism of the graph with v joined to ``allowed`` and
-    ``joined``, which maps vw to vw', so the two gains are equal.  An open
-    key never equals another vertex's closed key (each would then be its
-    own neighbour), so one set holds both kinds."""
-    most = -1
-    seen = set()  # the open and closed keys of each twin class met
-    left = allowed
-    while left:
-        low = left & -left
-        left ^= low
-        row = rows[low.bit_length() - 1]
-        if row in seen or row | low in seen:  # a twin of a vertex met: the same gain
-            continue
-        seen.update((row, row | low))
-        most = max(most, top - _clique_gain(rows, row, allowed ^ low | joined, s, t))
-    return most
+def _least_free_edges(rows, v, s, t) -> int:
+    """The edge mask, in the slot order of len(rows) vertices, of the free
+    edges of ``rows`` (those at v or a later vertex) that some copy uses:
+    each one whose ``_clique_gain`` is nonzero.  Copies never fall when
+    edges are added, so a subgraph over the free edges keeps the count of
+    ``rows`` exactly when it keeps every edge some copy uses, and these
+    edges with the others of ``rows`` form the least such subgraph, inside
+    every other and so the one with the smallest mask."""
+    canon = _BACK_MASKS[len(rows)]
+    kept = 0
+    for z in range(v, len(rows)):
+        back = rows[z] & ((1 << z) - 1)
+        while back:
+            low = back & -back
+            back ^= low
+            if _clique_gain(rows, rows[low.bit_length() - 1] ^ 1 << z, rows[z] ^ low, s, t):
+                kept |= canon[z][low]
+    return kept
 
 
 def _scan_free_max(n, k, s, t):
@@ -323,9 +312,8 @@ def _scan_free_max(n, k, s, t):
     misses, so at nu = k only subsets of the other vertices are visited.
     Each child's ``grow`` is handed down by ``_handed_grow`` from the
     parent's ``_grow_table`` over its allowed back-rows, made at its first
-    child walked.  A parent where no completion can exceed k (not
-    ``bounded``), and so each of its children, makes no table and reads no
-    mask.
+    child walked.  A subtree where no graph can exceed k is not walked
+    (the last rule below), so it makes no table and reads no mask.
 
     The completion bound.  Copies never fall when edges are added, and
     every leaf below keeps the child's mask bits, so a child is skipped
@@ -338,7 +326,7 @@ def _scan_free_max(n, k, s, t):
     later vertex joined to a set ``reach``, counted once per parent and
     ``reach`` in the parent's ``memo``; v's back-row then adds its edge
     gains.
-    - Where the matching bound prunes, each parent above the last vertex
+    - Each parent walked, one where some completion can exceed k,
       tabulates those counts for all its children, one ``_chain`` over its
       allowed back-rows.  Below a graph at nu = k, ``grow`` only gains
       vertices, so each later vertex may join only the vertices outside
@@ -356,23 +344,25 @@ def _scan_free_max(n, k, s, t):
       reaches the parent's allowed set, the count its table started from.
       At the level above the last vertex the children keep the table's
       entries.
-    - Where no completion can exceed k, a parent visits its widest child
-      first without a table: that child's widest completion, every later
-      vertex joined to all others, is the parent's own, the same graph, so
-      the parent's entry ``top`` is passed down to it, and its count takes
-      one path of gains.  After its subtree the best is at least ``top``;
-      every other child lies inside the back-row ``allowed`` less some
-      vertex, so the parent returns when those entries (``_sibling_top``)
-      are all below the best.  Otherwise it walks the rest from the table
-      at ``reach`` -1, storing that completion's count as ``top`` less the
-      path of gains to ``allowed``, so the table counts nothing again.
-      That is exact: such a parent has nu < k (nu <= v // 2 < n // 2 above
-      the last vertex), so ``top`` is the root's (K_n), its parent's own
-      ``top`` or an entry of a table at ``reach`` -1.
-    - The last vertex likewise counts its widest allowed back-row by one
-      path, which has the most copies: a parent whose count there is below
-      the best returns at once, and the whole chain is built only when a
-      back-row one vertex narrower ties it, to find the smallest tied mask.
+    - A subtree where no graph can exceed k is resolved without a walk:
+      the subtree below a parent where no completion can exceed k
+      (k >= nu + n - v or k >= n // 2), and the one below any parent of the
+      last vertex, whose allowed back-rows all keep nu <= k.  Each subset
+      of the free edges (those at v or a later vertex) of its widest
+      completion, v joined to ``allowed`` and each later vertex to all
+      others, is then a graph of the subtree.  Copies never fall when edges
+      are added, so that completion's count is the subtree's best, and a
+      subgraph keeps it exactly when it keeps every free edge some copy
+      uses: the completion less each free edge whose gain is 0
+      (``_least_free_edges``) lies inside every best of the subtree, so it
+      has the smallest mask, whatever order the edges are cleared in.  The
+      count is the parent's entry ``top``, exact there: above the last
+      vertex such a parent has nu < k (nu <= v // 2 < n // 2), so ``top``
+      is the root's (K_n) or an entry of a table at ``reach`` -1.  At the
+      last vertex it is the parent's count plus the copies v adds on the
+      back-row ``allowed``: ``base`` and one path of gains.  A subtree
+      whose count is below the best, or equal to it with the parent's mask
+      no smaller than the best's, returns before its gains.
     """
     if not n:
         return 0, 0
@@ -382,69 +372,49 @@ def _scan_free_max(n, k, s, t):
     best_value = -1
     best_mask = 0
 
-    def tabulated(allowed):
+    def rec(adj: list[int], nu: int, grow: int, value: int, mask: int, top: int) -> None:
+        nonlocal best_value, best_mask
+        v = len(adj)
+        below = (1 << v) - 1
+        allowed = below & ~grow if nu == k else below  # the back-rows keeping nu <= k
+        if v == n - 1 or k >= min(nu + n - v, n // 2):  # no graph below exceeds k
+            if v == n - 1:
+                top = value + base + _path_gain(adj, allowed, s, t)  # v joined to all it may
+            if top < best_value or (top == best_value and mask >= best_mask):
+                return
+            free = ((1 << n) - 1) ^ below  # v and the later vertices, joined to allowed and each other
+            rows = [row | free if allowed >> u & 1 else row for u, row in enumerate(adj)]
+            rows += [(allowed | free) ^ 1 << z for z in range(v, n)]  # the widest completion
+            low = mask | _least_free_edges(rows, v, s, t)
+            if top > best_value or low < best_mask:
+                best_value, best_mask = top, low
+            return
+
         if allowed not in subsets:
             backs = [0]
             while backs[-1] != allowed:
                 backs.append((backs[-1] - allowed) & allowed)
             subsets[allowed] = backs, _steps(backs)
-        return subsets[allowed]
-
-    def rec(adj: list[int], nu: int, grow: int, value: int, mask: int, top: int) -> None:
-        nonlocal best_value, best_mask
-        v = len(adj)
-        below = (1 << v) - 1
-        bounded = k < min(nu + n - v, n // 2)  # else no completion exceeds k (grow then 0 or unread)
-        allowed = below & ~grow if nu == k else below  # the back-rows keeping nu <= k
-        table = canon[v]
-        if v == n - 1:
-            widest = base + _path_gain(adj, allowed, s, t)  # the most copies v can add
-            if value + widest < best_value:
-                return
-            low = mask | table[allowed]
-            if _sibling_top(adj, allowed, 0, widest, s, t) == widest:  # keep the smallest tie
-                backs, steps = tabulated(allowed)
-                vals = _chain(adj, steps, base, 0, s, t)
-                low = mask | min(table[b] for b, x in zip(backs, vals) if x == widest)
-            if value + widest > best_value or low < best_mask:
-                best_value, best_mask = value + widest, low
-            return
-
+        backs, steps = subsets[allowed]
         memo = {}  # this parent's completions by reach, with their counts (_completion)
-
-        def children():  # (back-row, its count, its widest completion's), widest first
-            first = 0
-            if not bounded:
-                yield allowed, base + _path_gain(adj, allowed, s, t), top
-                rows = _completion_rows(adj, n)
-                if _sibling_top(rows, allowed, rows[v], top, s, t) < best_value:
-                    return
-                memo[-1] = rows, top - _path_gain(rows, allowed, s, t, rows[v])  # top less v's back-row
-                first = 1
-            backs, steps = tabulated(allowed)
-            vals = _chain(adj, steps, base, 0, s, t)
-            rows, entry = _completion(adj, n, allowed if nu == k else -1, s, t, memo)
-            tops = _chain(rows, steps, entry, rows[v], s, t)
-            yield from islice(zip(reversed(backs), reversed(vals), reversed(tops)), first, None)
-
+        vals = _chain(adj, steps, base, 0, s, t)
+        rows, entry = _completion(adj, n, allowed if nu == k else -1, s, t, memo)
+        tops = _chain(rows, steps, entry, rows[v], s, t)
         hits = None  # the parent's _grow_table, made at its first child walked
         empty = (n - v - 1) * base  # the copies later vertices add when isolated
-        for back, extra, ctop in children():
-            cmask = mask | table[back]
+        for back, extra, ctop in zip(reversed(backs), reversed(vals), reversed(tops)):
+            cmask = mask | canon[v][back]
             if ctop < best_value or (ctop == best_value and cmask >= best_mask):
                 continue
-            cnu, cgrow = nu, 0
-            if bounded:
-                if hits is None:
-                    hits = _grow_table(adj, nu, grow, allowed)
-                if back & grow:
-                    cnu += 1
-                cgrow = _handed_grow(hits, grow, v, back)
-                if cnu == k and v < n - 2:  # the child's own widest completion bounds it
-                    rows, entry = _completion(adj, n, ((2 << v) - 1) & ~cgrow, s, t, memo)
-                    ctop = min(ctop, entry + _path_gain(rows, back, s, t, rows[v]))
-                    if ctop < best_value or (ctop == best_value and cmask >= best_mask):
-                        continue
+            if hits is None:
+                hits = _grow_table(adj, nu, grow, allowed)
+            cnu = nu + 1 if back & grow else nu
+            cgrow = _handed_grow(hits, grow, v, back)
+            if cnu == k and v < n - 2:  # the child's own widest completion bounds it
+                rows, entry = _completion(adj, n, ((2 << v) - 1) & ~cgrow, s, t, memo)
+                ctop = min(ctop, entry + _path_gain(rows, back, s, t, rows[v]))
+                if ctop < best_value or (ctop == best_value and cmask >= best_mask):
+                    continue
             if ctop == value + extra + empty:  # the empty completion is a best leaf
                 best_value, best_mask = ctop, cmask
                 continue

@@ -85,7 +85,7 @@ def test_c05_shift_laws_exhaustive_and_random():
             for check in verify_shift_lemmas(n, max_s=3, max_t=3):
                 assert check.status == ("pass" if n > 1 else "empty"), check  # n = 1 has no pair
         for check in verify_shift_lemmas(10, samples=10_000, seed=0, max_s=3, max_t=3):
-            assert check.ok, check
+            assert check.status == "pass", check
 
 
 def test_c06_shifted_graphs_fit_the_extremal_family():
@@ -93,7 +93,7 @@ def test_c06_shifted_graphs_fit_the_extremal_family():
         for n in (5, 6, 7):
             for k in range((n - 1) // 2 + 1):
                 (check,) = verify_shifted_structure(n, k)
-                assert check.ok, check
+                assert check.status == "pass", check
 
 
 def test_c07_degree_closure_exhaustive():

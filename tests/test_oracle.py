@@ -1,8 +1,10 @@
+import sys
 from collections import Counter
 from itertools import combinations
+from math import comb
 
 import pytest
-from hypothesis import example, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from helpers import (
@@ -107,7 +109,7 @@ def test_verify_shift_lemmas_exhaustive():
 
 def test_verify_shift_lemmas_random_embeds_seed():
     checks = verify_shift_lemmas(8, samples=200, seed=123)
-    assert all(ch.ok for ch in checks)
+    assert all(ch.status == "pass" for ch in checks)
     assert all(ch.seed == 123 for ch in checks)
     assert all(ch.cases == 200 for ch in checks)
 
@@ -177,7 +179,7 @@ def test_verify_shift_lemmas_validation():
 def test_verify_shifted_structure_small():
     for n, k in ((5, 1), (5, 2), (6, 1)):
         (check,) = verify_shifted_structure(n, k)
-        assert check.ok
+        assert check.status == "pass"
         assert check.cases > 0
 
 
@@ -284,13 +286,13 @@ def test_bip_agreement_grid_tiny_hosts():
 
 def test_verify_koenig_gstar_4x4():
     checks = verify_koenig_gstar(4, 4, 2, pairs=((1, 2),))
-    assert all(ch.ok for ch in checks)
+    assert all(ch.status == "pass" for ch in checks)
 
 
 def test_verify_koenig_gstar_small():
     for checks in (verify_koenig_gstar(3, 3, 1), verify_koenig_gstar(2, 3, 2),
                    verify_koenig_gstar(3, 2, 2)):
-        assert all(ch.ok for ch in checks)
+        assert all(ch.status == "pass" for ch in checks)
         assert [ch.name for ch in checks] == [
             "koenig-duality",
             "gstar-contains",
@@ -421,15 +423,26 @@ def _unbounding_table(adj, n, reach, s, t, memo):  # a completion count no leaf 
 def test_last_vertex_keeps_the_smallest_tied_back_row(monkeypatch):
     # the tables only bound the leaves; with entries that prune nothing and
     # never tie a child's empty completion, every tie is decided by the last
-    # vertex, whose smallest tied back-row keeps the smallest-mask witness
-    # (the widest one gives (2, 1, 1), where every graph ties, the witness {(1,2)})
+    # vertex, whose least completion keeps the smallest-mask witness (the
+    # widest allowed back-row gives (4, 1, 1), where every graph ties, the
+    # witness {(1,2),(1,3),(1,4)}).  With n <= 5 and k < n // 2, so k <= 1,
+    # every parent above the last vertex is bounded, so no subtree above it
+    # reads a loosened entry as its value: the rule runs at last vertices only
     monkeypatch.setattr(oracle, "_completion", _unbounding_table)
+    least, resolved = oracle._least_free_edges, set()
+
+    def recording(rows, v, s, t):
+        resolved.add(len(rows) - v)
+        return least(rows, v, s, t)
+
+    monkeypatch.setattr(oracle, "_least_free_edges", recording)
     for n in range(1, 6):
-        for k in range(n // 2 + 1):
+        for k in range(n // 2):
             for s, t in [(s, None) for s in range(1, n + 1)] + [(1, 2), (2, 2), (2, 3)]:
                 value, mask = ref_scan_free_max(n, k, s, t)
                 w = max_over_free(n, k, s, t)
                 assert (w.value, w.graph.edges()) == (value, graph_from_mask(n, mask).edges()), (n, k, s, t)
+    assert resolved == {1}  # only last vertices
 
 
 def test_pruned_seven_vertex_scans_match_reference():
@@ -535,7 +548,7 @@ def test_degree_filter_selects_the_same_matching_tests(monkeypatch):
     monkeypatch.setattr("turanmatch.oracle._exists_matching", counted)
     for n, expected in ((5, {1: 20, 2: 560}), (6, {1: 150, 2: 5_715, 3: 8_505})):
         calls.clear()
-        assert verify_bondy_chvatal(n)[0].ok
+        assert verify_bondy_chvatal(n)[0].status == "pass"
         assert calls == expected, n
 
 
@@ -748,10 +761,11 @@ def test_tied_tasks_stop_at_the_empty_completion(counted):
     # where every completion ties, a child's table entry equals its own
     # count with later vertices isolated, so the scan records that empty
     # completion instead of walking the ties below it
+    # (an unbounded scan such as (7, 3, 1) is one least completion instead)
     calls = counted("_clique_gain")
-    for args, value, limit in (((7, 3, 1), 7, 1_000),     # 0; 8,100 walking the ties
-                               ((7, 2, 4, 3), 0, 2_700),  # 366; 3,408
-                               ((7, 2, 1), 7, 2_700)):    # 0; 3,354
+    for args, value, limit in (((7, 1, 1), 7, 100),     # 0; 189 walking the ties
+                               ((7, 2, 4, 3), 0, 900),  # 366; 1,539
+                               ((7, 2, 1), 7, 700)):    # 0; 1,361
         calls[0] = 0
         w = max_over_free(*args)
         assert (w.value, w.graph.edges()) == (value, []), args
@@ -770,96 +784,67 @@ def test_every_parent_tabulates_so_ties_stop_at_once(counted):
         assert calls[0] < limit, (args, calls[0])
 
 
-def test_unbounded_levels_walk_the_widest_child_without_tables(counted):
-    # where no completion can exceed k, each parent counts its widest child
-    # by one path of edge gains and bounds the other children by the
-    # back-rows one vertex narrower, so no table and no chain is built
+def test_unbounded_scans_walk_no_level_and_build_no_table(counted):
+    # where no graph can exceed k the root's subtree is the whole scan, and
+    # the least-completion rule resolves it from K_n: one gain per edge, no
+    # table and no chain
     gains = counted("_clique_gain")
     steps = counted("_steps")
     assert max_over_free(6, 5, 2, 3).value == 60
-    assert gains[0] <= 40 and steps[0] == 0  # 20 and 0; 83 and 6 with a table at every level
+    assert gains[0] <= 15 and steps[0] == 0  # 15 and 0; 20 walking the widest child, 83 and 6 tabulating
     gains[0] = 0
     assert max_over_free(7, 3, 3).value == 35
-    assert gains[0] <= 60  # 27; 177 with a table at every level
+    assert gains[0] <= 21  # 21; 27 walking the widest child, 177 with a table at every level
     assert steps[0] == 0
     assert max_over_free(7, 2, 2).value == 11 and steps[0] > 0  # a bounded scan tabulates
 
 
-def _bounds_nothing(rows, allowed, joined, top, s, t):  # every narrower back-row may tie top
-    return top
+@given(graphs(min_n=1, max_n=6), st.data())
+def test_least_free_edges_lie_inside_every_subgraph_keeping_the_count(g, data):
+    # over the free edges (at v or a later vertex), the subgraphs keeping the
+    # count of g are those keeping every edge some copy uses: the rule's
+    # edges are the smallest such mask and lie inside every other
+    n = g.n
+    v = data.draw(st.integers(0, n - 1))
+    s = data.draw(st.integers(1, 4))
+    t = data.draw(st.integers(0, 3))
+    slots = oracle._EDGE_SLOTS[n]
+    edges = sum(1 << i for i, (a, b) in enumerate(slots) if g.adj[a] >> b & 1)
+    free = sum(1 << i for i, (a, b) in enumerate(slots) if b >= v) & edges
+    assume(free.bit_count() <= 10)
+    count = _clique_top_sum(g.adj, s, t)
+    keeping, sub = [], 0
+    while True:  # every subset of the free edges, ascending
+        rows = oracle._rows_from_mask(n, edges ^ free | sub, slots)
+        if _clique_top_sum(rows, s, t) == count:
+            keeping.append(sub)
+        if sub == free:
+            break
+        sub = (sub - free) & free
+    least = oracle._least_free_edges(list(g.adj), v, s, t)
+    assert least == keeping[0]
+    assert all(least & ~sub == 0 for sub in keeping)
 
 
-def test_tied_siblings_fall_back_to_the_tables(monkeypatch):
-    # no scan tried has a back-row one vertex narrower than the widest that
-    # ties it; with a sibling bound and tables that prune nothing, every
-    # parent where no completion exceeds k walks its other children from the
-    # tables after the widest, and every last vertex scores its whole chain
-    # for the smallest tied mask
-    monkeypatch.setattr(oracle, "_sibling_top", _bounds_nothing)
-    monkeypatch.setattr(oracle, "_completion", _unbounding_table)
+def test_least_completion_reports_the_count_of_the_rows_it_reads(monkeypatch):
+    # each subtree the rule resolves reports ``top``, its parent's entry or,
+    # at the last vertex, the count with v joined to all it may: that must
+    # be the count of the widest completion whose free edges the rule keeps
+    least, seen = oracle._least_free_edges, []
+
+    def recording(rows, v, s, t):
+        seen.append((rows, v, s, t, sys._getframe(1).f_locals["top"]))
+        return least(rows, v, s, t)
+
+    monkeypatch.setattr(oracle, "_least_free_edges", recording)
     for n in range(1, 7):
-        for k in range(n // 2 + 1):
-            for s, t in [(s, None) for s in range(1, n + 1)] + [(1, 2), (2, 2), (2, 3)]:
-                value, mask = ref_scan_free_max(n, k, s, t)
-                w = max_over_free(n, k, s, t)
-                assert (w.value, w.graph.edges()) == (value, graph_from_mask(n, mask).edges()), (n, k, s, t)
-
-
-def test_a_narrower_back_row_tying_the_best_is_walked(monkeypatch):
-    # no real scan has a back-row one vertex narrower than the widest whose
-    # entry ties the best, except where every graph ties, and there the
-    # empty completion ends the scan first.  With every table entry one above
-    # the true count, still a bound but never an empty completion, and the
-    # sibling entries exact (the sibling check above the last vertex passes
-    # a nonzero completion row as ``joined``, and an entry from the tables
-    # as ``top``), a pattern every graph ties on (single vertices, or no
-    # copy on n vertices) makes every narrower back-row tie the best, and
-    # they must be walked to reach the smallest mask
-    completion, siblings = oracle._completion, oracle._sibling_top
-
-    def above(adj, n, reach, s, t, memo):  # each count one above, kept as the scan keeps it
-        if reach not in memo:
-            rows, count = completion(adj, n, reach, s, t, {})
-            memo[reach] = rows, count + 1
-        return memo[reach]
-
-    monkeypatch.setattr(oracle, "_completion", above)
-    monkeypatch.setattr(oracle, "_sibling_top", lambda rows, allowed, joined, top, s, t:
-                        siblings(rows, allowed, joined, top - (joined != 0), s, t))
-    for n in range(1, 7):
-        for k in range(n // 2 + 1):
-            for s, t in ((1, None), (2, None), (n + 1, None), (n, 1), (2, 2)):
-                value, mask = ref_scan_free_max(n, k, s, t)
-                w = max_over_free(n, k, s, t)
-                assert (w.value, w.graph.edges()) == (value, graph_from_mask(n, mask).edges()), (n, k, s, t)
-
-
-def test_tied_siblings_fall_back_to_the_stored_entry(monkeypatch, counted):
-    # with only the sibling bound made to bound nothing, every parent where
-    # no completion exceeds k walks its other children from a table that
-    # starts from the entry it was handed less the path of gains to its
-    # allowed set, stored under reach -1: such a parent is never at nu = k,
-    # so that is its completion's exact count, and no table recounts it
-    monkeypatch.setattr(oracle, "_sibling_top", _bounds_nothing)
-    counts = counted("_clique_top_sum")
-    chain = oracle._chain
-    starts = []  # (rows, first) of every chain, the completion tables being those on n rows
-
-    def recording(rows, steps, first, joined, s, t):
-        starts.append((rows, first))
-        return chain(rows, steps, first, joined, s, t)
-
-    monkeypatch.setattr(oracle, "_chain", recording)
-    for n in range(1, 7):
-        for k in range(n // 2 + 1):
-            for s, t in [(s, None) for s in range(1, n + 1)] + [(1, 2), (2, 2), (2, 3)]:
-                starts.clear()
-                value, mask = ref_scan_free_max(n, k, s, t)
-                w = max_over_free(n, k, s, t)
-                assert (w.value, w.graph.edges()) == (value, graph_from_mask(n, mask).edges()), (n, k, s, t)
-                assert all(first == _clique_top_sum(rows, s, t or 0)
-                           for rows, first in starts if len(rows) == n), (n, k, s, t)
-    assert counts[0] <= 800  # 743; 897 recounting each fallback table's entry
+        for k in range(n + 1):
+            for s in range(1, n + 2):
+                for t in (None, *range(1, n + 1)):
+                    max_over_free(n, k, s, t)
+    assert any(v < len(rows) - 1 for rows, v, _, _, _ in seen)  # some resolved above the last vertex
+    for rows, v, s, t, top in seen:
+        assert top == _clique_top_sum(rows, s, t), (rows, v, s, t)
 
 
 def test_one_completion_count_per_parent_and_reach(counted):
@@ -883,10 +868,10 @@ def _joined_to_all(adj, n):
 
 @given(graphs(min_n=0, max_n=5), st.data())
 def test_widest_child_inherits_its_parents_entry(g, data):
-    # where no completion can exceed k every back-row is allowed, and the
-    # widest child's widest completion is the parent's own: the entry passed
-    # down is the table's last entry, the child's count is one path of
-    # gains, and each drop-one value is the table entry for the back-row less w
+    # where every back-row is allowed, the widest child's widest completion
+    # is the parent's own: the table's last entry, handed down as the
+    # child's ``top``, is the parent's exact completion count, and the
+    # child's own count is one path of gains
     v = g.n
     n = data.draw(st.integers(v + 2, 7))
     s = data.draw(st.integers(1, 5))
@@ -899,64 +884,18 @@ def test_widest_child_inherits_its_parents_entry(g, data):
     base = _clique_sum([], 0, 0, s - 1, t)
     assert (_clique_top_sum(widest, s, t)
             == _clique_top_sum(g.adj, s, t) + base + oracle._path_gain(g.adj, below, s, t))
-    rows = oracle._completion_rows(g.adj, n)
-    stored = top - oracle._path_gain(rows, below, s, t, rows[v])  # the entry less v's back-row
-    assert oracle._completion(g.adj, n, -1, s, t, {}) == (rows, stored) and stored == tops[0]
-    drops = [top - _clique_gain(rows, rows[w], below ^ 1 << w | rows[v], s, t) for w in range(v)]
-    assert drops == [tops[below ^ 1 << w] for w in range(v)]
-    assert oracle._sibling_top(rows, below, rows[v], top, s, t) == max(drops, default=-1)
 
 
-def _twinned(adj, twins, perm):
-    """``adj``'s rows with one vertex added per (a, closed) of ``twins``, an
-    open twin of vertex a (a's row) or a closed one (a's row and a), then
-    relabelled in the order of ``perm``'s entries below the vertex count."""
-    rows = list(adj)
-    for a, closed in twins:
-        a %= len(rows)
-        row = rows[a] | closed << a
-        rows = [r | 1 << len(rows) if row >> u & 1 else r for u, r in enumerate(rows)]
-        rows.append(row)
-    order = [p for p in perm if p < len(rows)]
-    out = [0] * len(rows)
-    for u, row in enumerate(rows):
-        out[order[u]] = sum(1 << order[w] for w in range(len(rows)) if row >> w & 1)
-    return out
-
-
-@given(graphs(min_n=1, max_n=4), st.lists(st.tuples(st.integers(0, 7), st.booleans()), max_size=3),
-       st.permutations(range(7)), st.integers(0, 127), st.integers(0, 2),
-       st.integers(1, 4), st.integers(0, 3))
-@example(Graph.from_edges(4, [(1, 3), (1, 4), (2, 4)]), [], range(7), 0b11, 0, 1, 2)  # rows agreeing only inside allowed
-@example(complete_graph(3), [(0, True), (1, False)], range(7), 0b11111, 2, 2, 3)
-def test_sibling_top_makes_one_gain_per_twin_class(g, twins, perm, allowed, later, s, t):
-    # twins of ``allowed``, rows equal with or without themselves, are swapped
-    # by an automorphism of the graph with v joined to ``allowed`` and
-    # ``joined``, so they gain alike: one gain per class gives the maximum
-    # over every vertex, on parent rows (``joined`` empty) and on completions
-    adj = _twinned(g.adj, twins, perm)
-    v = len(adj)
-    allowed &= (1 << v) - 1
-    rows, joined = adj, 0
-    if later:
-        rows = oracle._completion_rows(adj, v + later)
-        joined = rows[v]
-    top = 100
-    drops = [top - _clique_gain(rows, rows[w], allowed ^ 1 << w | joined, s, t)
-             for w in range(v) if allowed >> w & 1]
-    assert oracle._sibling_top(rows, allowed, joined, top, s, t) == max(drops, default=-1)
-
-
-def test_sibling_check_gains_once_per_twin_class(counted):
-    # along an unbounded scan's widest path every parent is complete, so the
-    # allowed vertices of each sibling check are closed twins in its
-    # completion: one edge gain serves the whole check
+def test_unbounded_scans_gain_once_per_edge_of_the_complete_graph(counted):
+    # a scan in which no graph can exceed k is one rule at the root: one
+    # edge gain per edge of K_n, whatever the pattern
     gains = counted("_clique_gain")
-    assert max_over_free(6, 5, 2, 3).value == 60
-    assert gains[0] <= 24  # 20; 30 with one gain per vertex
-    gains[0] = 0
-    assert max_over_free(7, 3, 3).value == 35
-    assert gains[0] <= 32  # 27; 42 with one gain per vertex
+    for n in range(2, 8):
+        for k in (n // 2, n):
+            for s, t in ((2, None), (3, None), (1, 2), (2, 3), (n + 1, None)):
+                gains[0] = 0
+                max_over_free(n, k, s, t)
+                assert gains[0] == comb(n, 2), (n, k, s, t)
 
 
 def test_grow_tables_cut_the_probes(counted):

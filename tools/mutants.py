@@ -1,5 +1,5 @@
 """Mutation check for the oracle's comparisons, tie-breaks, grow rule and
-twin classes, and the count kernel's closed levels.
+least-completion rule, and the count kernel's closed levels.
 
 Each mutant names one exact snippet of a source file, its replacement, and
 the pytest selection that should fail once the snippet is replaced.  For
@@ -50,50 +50,40 @@ MUTANTS = [
      [f"{TESTS}::test_pruned_seven_vertex_scans_match_reference",
       f"{TESTS}::test_max_over_free_matches_leaf_recount_reference"]),
     ("table-check-drops-ties", ORACLE,
-     "cmask = mask | table[back]\n"
+     "cmask = mask | canon[v][back]\n"
      "            if ctop < best_value or",
-     "cmask = mask | table[back]\n"
+     "cmask = mask | canon[v][back]\n"
      "            if ctop <= best_value or",
      [f"{TESTS}::test_max_over_free_matches_leaf_recount_reference"]),
     ("own-bound-drops-ties", ORACLE,
      "ctop = min(ctop, entry + _path_gain(rows, back, s, t, rows[v]))\n"
-     "                    if ctop < best_value or",
+     "                if ctop < best_value or",
      "ctop = min(ctop, entry + _path_gain(rows, back, s, t, rows[v]))\n"
-     "                    if ctop <= best_value or",
+     "                if ctop <= best_value or",
      [f"{TESTS}::test_max_over_free_matches_leaf_recount_reference",
       f"{TESTS}::test_pruned_seven_vertex_scans_match_reference"]),
     ("empty-completion-counts-v-twice", ORACLE,
      "empty = (n - v - 1) * base",
      "empty = (n - v) * base",
      [f"{TESTS}::test_tied_tasks_stop_at_the_empty_completion"]),
-    ("stored-entry-one-short", ORACLE,
-     "memo[-1] = rows, top - _path_gain(",
-     "memo[-1] = rows, top - 1 - _path_gain(",
-     [f"{TESTS}::test_tied_siblings_fall_back_to_the_stored_entry"]),
     ("missable-probes-one-size-short", MATCHING,
      "if _exists_matching(adj, full ^ b, r):",
      "if _exists_matching(adj, full ^ b, r - 1):",
      ["tests/test_matching.py::test_missable_vertices_keep_the_matching_number_when_removed"]),
-    ("last-vertex-tie-keeps-the-largest-mask", ORACLE,
-     "low = mask | min(table[b]",
-     "low = mask | max(table[b]",
-     [f"{TESTS}::test_last_vertex_keeps_the_smallest_tied_back_row"]),
-    ("sibling-tie-skips-narrower-back-rows", ORACLE,
-     "if _sibling_top(rows, allowed, rows[v], top, s, t) < best_value:",
-     "if _sibling_top(rows, allowed, rows[v], top, s, t) <= best_value:",
-     [f"{TESTS}::test_a_narrower_back_row_tying_the_best_is_walked"]),
     ("last-vertex-prune-drops-ties", ORACLE,
-     "if value + widest < best_value:",
-     "if value + widest <= best_value:",
+     "if top < best_value or (top == best_value and mask >= best_mask):",
+     "if top <= best_value or (top == best_value and mask >= best_mask):",
      [f"{TESTS}::test_max_over_free_matches_leaf_recount_reference"]),
-    ("twin-key-merges-non-twins", ORACLE,
-     "if row in seen or row | low in seen:  # a twin of a vertex met: the same gain\n"
-     "            continue\n"
-     "        seen.update((row, row | low))",
-     "if row & allowed in seen or (row | low) & allowed in seen:\n"
-     "            continue\n"
-     "        seen.update((row & allowed, (row | low) & allowed))",
-     [f"{TESTS}::test_sibling_top_makes_one_gain_per_twin_class"]),
+    ("least-completion-clears-used-edges", ORACLE,
+     "if _clique_gain(rows, rows[low.bit_length() - 1] ^ 1 << z, rows[z] ^ low, s, t):",
+     "if _clique_gain(rows, rows[low.bit_length() - 1] ^ 1 << z, rows[z] ^ low, s, t) > 1:",
+     [f"{TESTS}::test_least_free_edges_lie_inside_every_subgraph_keeping_the_count",
+      f"{TESTS}::test_max_over_free_matches_leaf_recount_reference"]),
+    ("least-completion-frees-from-past-v", ORACLE,
+     "for z in range(v, len(rows)):",
+     "for z in range(v + 1, len(rows)):",
+     [f"{TESTS}::test_least_free_edges_lie_inside_every_subgraph_keeping_the_count",
+      f"{TESTS}::test_max_over_free_matches_leaf_recount_reference"]),
     ("clique-level-one-miscounts", COUNTING,
      "return cand.bit_count()",
      "return cand.bit_count() + 1",
