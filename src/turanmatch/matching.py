@@ -4,10 +4,11 @@ General graphs get their matching number from Edmonds' blossom algorithm,
 polynomial up to the 64-vertex graph cap: after a greedy start, each exposed
 vertex first tries the augmenting paths of length 3 by bit operations, and
 a blossom search that fails takes its whole tree out of every later search.
-Whether a matching of a given size exists is a small branch-and-bound; one
-such probe per vertex finds the vertices that some maximum matching misses
-(``_missable``), which the oracle's vertex-row walks find once for each
-parent less one vertex, to hand every child its own.
+Whether a matching of a given size exists is a small branch-and-bound on a
+vertex set; one such probe per vertex finds the vertices of a set that some
+maximum matching misses (``_missable``), which the oracle's vertex-row walks
+find once for each parent less one vertex, read by masks on the parent's own
+rows, to hand every child its own.
 Bipartite graphs use augmenting paths; the minimum cover is built from a
 given maximum matching by the standard alternating-reachability
 construction, so its size always equals the matching size.
@@ -139,18 +140,18 @@ def _exists_matching(adj, free: int, r: int) -> bool:
     return _exists_matching(adj, fb, r)
 
 
-def _missable(adj, r: int, maybe: int) -> int:
-    """The vertices b of ``maybe`` for which ``adj`` less b still spans a
-    matching of size r, one ``_exists_matching`` probe each.  With r the
-    matching number, these are the vertices some maximum matching misses
-    (the D set of Gallai 1964 and Edmonds 1965), and a new vertex raises the
-    matching number exactly when it is joined to one of them."""
-    full = (1 << len(adj)) - 1
+def _missable(adj, free: int, r: int, maybe: int) -> int:
+    """The vertices b of ``maybe`` (inside ``free``) for which ``free`` less
+    b still spans a matching of size r, one ``_exists_matching`` probe each.
+    With r the matching number of the graph ``adj`` induces on ``free``,
+    these are its vertices that some maximum matching misses (the D set of
+    Gallai 1964 and Edmonds 1965), and a new vertex raises that matching
+    number exactly when it is joined to one of them."""
     found = 0
     while maybe:
         b = maybe & -maybe
         maybe ^= b
-        if _exists_matching(adj, full ^ b, r):
+        if _exists_matching(adj, free ^ b, r):
             found |= b
     return found
 

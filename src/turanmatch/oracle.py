@@ -115,52 +115,43 @@ def _child(adj: list[int], back: int) -> list[int]:
     return rows
 
 
-def _grow_table(adj: list[int], nu: int, grow: int, search: int) -> list[int]:
+def _grow_table(adj: list[int], nu: int, grow: int, search: int) -> list[tuple[int, int]]:
     """The matching table of the parent rows ``adj`` (matching number nu,
     ``grow`` the vertices some maximum matching misses, the D set of Gallai
-    1964 and Edmonds 1965): entry u, for each u below v = len(adj), holds
-    the vertices c of ``search`` for which u lies in D(adj less c).  Each c
-    is one ``_missable`` call on the rows with c cut out.  For c in ``grow``
-    the parent less c keeps nu, and its D set lies inside ``grow`` (a vertex
-    outside it is covered by every maximum matching of the parent, so also
-    of the parent less c), so only ``grow`` is searched; for c outside, the
-    parent less c has matching number nu - 1, and only the vertices outside
-    ``grow`` are searched, all that ``_handed_grow`` reads there."""
-    v = len(adj)
-    hits = [0] * v
+    1964 and Edmonds 1965): one pair (c, D(adj less c) & side) for each
+    vertex c of ``search``, by one ``_missable`` call on the parent's rows
+    with c taken out of the vertex set.  For c in ``grow`` the parent less c
+    keeps nu, and its D set lies inside ``grow`` (a vertex outside it is
+    covered by every maximum matching of the parent, so also of the parent
+    less c), so ``side`` is ``grow``; for c outside, the parent less c has
+    matching number nu - 1, and ``side`` is the vertices outside ``grow``,
+    all that ``_handed_grow`` reads there."""
+    full = (1 << len(adj)) - 1
+    table = []
     while search:
-        cut = search & -search
-        search ^= cut
-        rows = [row & ~cut for row in adj]
-        rows[cut.bit_length() - 1] = 0
-        if cut & grow:
-            found = _missable(rows, nu, grow ^ cut)
-        else:
-            found = _missable(rows, nu - 1, ((1 << v) - 1) & ~grow ^ cut)
-        while found:
-            low = found & -found
-            found ^= low
-            hits[low.bit_length() - 1] |= cut
-    return hits
+        c = search & -search
+        search ^= c
+        kept = c & grow  # the parent less c keeps nu
+        side = grow if kept else full ^ grow
+        table.append((c, _missable(adj, full ^ c, nu if kept else nu - 1, side ^ c)))
+    return table
 
 
-def _handed_grow(hits: list[int], grow: int, v: int, back: int) -> int:
+def _handed_grow(table: list[tuple[int, int]], grow: int, v: int, back: int) -> int:
     """The ``grow`` mask of the child that joins v to the back-row ``back``
     below a parent whose mask is ``grow`` and whose ``_grow_table`` is
-    ``hits``, so that a later vertex raises the child's matching number
+    ``table``, so that a later vertex raises the child's matching number
     exactly when its back-row meets the mask.  The child less c is the
     parent less c joined to back less c, and a new vertex raises a matching
-    number exactly when it joins the D set.  So a child whose back-row meets
-    ``grow`` (nu one above its parent's) keeps the c of ``grow`` whose
-    table entries it meets, and never v (the child less v is the parent);
-    any other child keeps ``grow`` and v, and gains each c outside ``grow``
-    whose table entry it meets."""
-    reach = 0  # the c with back less c meeting D(parent less c)
-    rest = back
-    while rest:
-        low = rest & -rest
-        rest ^= low
-        reach |= hits[low.bit_length() - 1]
+    number exactly when it joins the D set.  So, with ``reach`` the c whose
+    D set ``back`` meets, a child whose back-row meets ``grow`` (nu one
+    above its parent's) keeps the c of ``grow`` in ``reach``, and never v
+    (the child less v is the parent); any other child keeps ``grow`` and v,
+    and gains each c outside ``grow`` in ``reach``."""
+    reach = 0
+    for c, missed in table:
+        if back & missed:
+            reach |= c
     return reach & grow if back & grow else grow | 1 << v | reach & ~grow
 
 
@@ -180,11 +171,11 @@ def _last_parents(n: int, k: int):
             return
         below = (1 << v) - 1
         allowed = below & ~grow if nu == k else below  # the back-rows keeping nu <= k
-        hits = _grow_table(adj, nu, grow, allowed)
+        cuts = _grow_table(adj, nu, grow, allowed)
         for back in range(1 << v):
             if nu < k or not back & grow:
                 yield from rec(_child(adj, back), nu + 1 if back & grow else nu,
-                               _handed_grow(hits, grow, v, back), mask | canon[v][back])
+                               _handed_grow(cuts, grow, v, back), mask | canon[v][back])
 
     if n:
         yield from rec([], 0, 0, 0)
@@ -400,16 +391,16 @@ def _scan_free_max(n, k, s, t):
         vals = _chain(adj, steps, base, 0, s, t)
         rows, entry = _completion(adj, n, allowed if nu == k else -1, s, t, memo)
         tops = _chain(rows, steps, entry, rows[v], s, t)
-        hits = None  # the parent's _grow_table, made at its first child walked
+        cuts = None  # the parent's _grow_table, made at its first child walked
         empty = (n - v - 1) * base  # the copies later vertices add when isolated
         for back, extra, ctop in zip(reversed(backs), reversed(vals), reversed(tops)):
             cmask = mask | canon[v][back]
             if ctop < best_value or (ctop == best_value and cmask >= best_mask):
                 continue
-            if hits is None:
-                hits = _grow_table(adj, nu, grow, allowed)
+            if cuts is None:
+                cuts = _grow_table(adj, nu, grow, allowed)
             cnu = nu + 1 if back & grow else nu
-            cgrow = _handed_grow(hits, grow, v, back)
+            cgrow = _handed_grow(cuts, grow, v, back)
             if cnu == k and v < n - 2:  # the child's own widest completion bounds it
                 rows, entry = _completion(adj, n, ((2 << v) - 1) & ~cgrow, s, t, memo)
                 ctop = min(ctop, entry + _path_gain(rows, back, s, t, rows[v]))
@@ -698,20 +689,21 @@ def verify_koenig_gstar(
     Rows are filled from row nx-1 (the most significant in the mask) down to
     row 0, each row ascending, so graphs arrive in ascending mask order.  A
     maximum matching is carried down the fill.  Each fill node first finds
-    ``reach``, the Y-vertices y from which its X-vertex x would augment, by
-    one augmenting search per single-vertex row {y} on a copy of the
-    matching: a search from x leaves only through x's row, so a row
-    augments exactly when it meets ``reach``.  A row missing it keeps the
-    node's matching, uncopied and maximum; a row meeting it makes one
-    augmenting search on a copy.  A partial graph whose matching number,
-    undecided rows empty, already exceeds k is dropped with every
-    completion: each completion contains it, so none is a case; nothing is
-    dropped when k >= min(nx, ny).  Every surviving graph gets the full
-    check, its cover read off the carried matching: the
-    alternating-reachability cover is the same for every maximum matching.
-    Each saturated host is scored once per cover, and each case's counts
-    once per sorted row tuple: permuting X-rows changes no biclique count,
-    as ``max_over_free_bip`` also relies on.
+    ``reach``, the Y-vertices from which its X-vertex x would augment, by
+    one fixpoint over that matching: the exposed Y-vertices, then each
+    Y-vertex whose mate's row meets ``reach``, the Y side of the graph's D
+    set (Gallai 1964, Edmonds 1965).  An augmenting path from x enters
+    through x's row at one of them, so a row augments exactly when it meets
+    ``reach``.  A row missing it keeps the node's matching, uncopied and
+    maximum; a row meeting it makes one augmenting search on a copy.  A
+    partial graph whose matching number, undecided rows empty, already
+    exceeds k is dropped with every completion: each completion contains
+    it, so none is a case; nothing is dropped when k >= min(nx, ny).  Every
+    surviving graph gets the full check, its cover read off the carried
+    matching: the alternating-reachability cover is the same for every
+    maximum matching.  Each saturated host is scored once per cover, and
+    each case's counts once per sorted row tuple: permuting X-rows changes
+    no biclique count, as ``max_over_free_bip`` also relies on.
     """
     if nx * ny > MAX_ORACLE_BIP_SLOTS:
         raise CapacityError(f"capped at nx*ny <= {MAX_ORACLE_BIP_SLOTS}")
@@ -738,11 +730,13 @@ def verify_koenig_gstar(
         return f"G(X={nx},Y={ny})={BipartiteGraph(nx, ny, rows).edges()}"
 
     def fill(x: int, size: int, match_y):  # rows above x set, below it zero; yields cases
-        reach = 0  # the y whose row {y} augments from x: a row grows iff it meets them
-        for y in range(ny):
-            rows[x] = 1 << y
-            if _bip_augment(rows, x, match_y[:]):
-                reach |= 1 << y
+        # the y from which x would augment: exposed, or matched to a row meeting them
+        reach, last = sum(1 << y for y, mate in enumerate(match_y) if mate < 0), -1
+        while reach != last:
+            last = reach
+            for y, mate in enumerate(match_y):
+                if mate >= 0 and rows[mate] & reach:
+                    reach |= 1 << y
         grows = not bounded or size < k
         for row in range(full_y + 1):
             rows[x] = row

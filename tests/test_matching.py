@@ -149,8 +149,9 @@ def test_missable_vertices_keep_the_matching_number_when_removed(g, data):
     nu = _nu(g.adj)
     maybe = data.draw(st.integers(0, (1 << g.n) - 1))
     missed = ref_grow(g.adj, nu)
-    assert _missable(g.adj, nu, (1 << g.n) - 1) == missed
-    assert _missable(g.adj, nu, maybe) == missed & maybe
+    full = (1 << g.n) - 1
+    assert _missable(g.adj, full, nu, full) == missed
+    assert _missable(g.adj, full, nu, maybe) == missed & maybe
 
 
 def test_missable_on_gallai_edmonds_hosts():
@@ -172,7 +173,7 @@ def test_missable_on_gallai_edmonds_hosts():
             adj[label[u]] |= 1 << label[v]
             adj[label[v]] |= 1 << label[u]
         nu = _nu(adj)
-        missable = _missable(adj, nu, (1 << n) - 1)
+        missable = _missable(adj, (1 << n) - 1, nu, (1 << n) - 1)
         assert missable == ref_grow(adj, nu), (s0, parts)
         if len(parts) > s0:
             assert missable == sum(1 << label[x] for x in range(s0, n)), (s0, parts)

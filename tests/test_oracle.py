@@ -401,7 +401,7 @@ def test_verify_koenig_gstar_cases_cover_every_graph():
 def test_verify_koenig_gstar_prunes_row_prefixes(counted):
     augments = counted("_bip_augment")
     assert verify_koenig_gstar(4, 4, 1)[0].cases == 104
-    assert augments[0] < 2_500  # 516 with pruning; 72,609 filling every row prefix
+    assert augments[0] < 2_500  # 60 with pruning; 72,609 filling every row prefix
 
 
 def test_max_over_free_matches_leaf_recount_reference():
@@ -482,7 +482,7 @@ def counted(monkeypatch):
 
 def _probes(counted):
     """The grow probes of both row walks, one per vertex ``_missable`` tests."""
-    return counted("_missable", lambda adj, r, maybe: maybe.bit_count())
+    return counted("_missable", lambda adj, free, r, maybe: maybe.bit_count())
 
 
 def test_vertex_scan_tests_matchings_once_per_parent_vertex(counted):
@@ -619,11 +619,11 @@ def test_handed_grow_is_each_childs_grow_afresh(g):
     v = g.n
     nu = _nu(g.adj)
     grow = ref_grow(g.adj, nu)
-    hits = oracle._grow_table(g.adj, nu, grow, (1 << v) - 1)
+    table = oracle._grow_table(g.adj, nu, grow, (1 << v) - 1)
     for back in range(1 << v):
         child = oracle._child(g.adj, back)
         child_nu = _nu(child)
-        assert oracle._handed_grow(hits, grow, v, back) == ref_grow(child, child_nu), back
+        assert oracle._handed_grow(table, grow, v, back) == ref_grow(child, child_nu), back
     assert oracle._handed_grow([], 0, 0, 0) == 1  # the empty root's one child
 
 
@@ -633,9 +633,9 @@ def test_grow_table_probes_one_side_of_grow_per_cut(monkeypatch):
     asked = []
     missable = oracle._missable
 
-    def recording(adj, r, maybe):
+    def recording(adj, free, r, maybe):
         asked.append(maybe)
-        return missable(adj, r, maybe)
+        return missable(adj, free, r, maybe)
 
     monkeypatch.setattr(oracle, "_missable", recording)
     for n in range(6):
@@ -741,9 +741,10 @@ def test_full_parents_bound_their_subtrees_by_their_matching(counted):
 def test_koenig_check_carries_its_matching_down_the_rows(counted):
     augments = counted("_bip_augment")
     assert verify_koenig_gstar(4, 4, 1)[0].cases == 104
-    # 516: one probe per Y-vertex at each fill node, then one search per row
-    # that meets the probed set; 1,824 with one search per row filled
-    assert augments[0] < 1_000
+    # 60: one search per row that meets the fill node's reach, read off the
+    # carried matching; 516 with a trial search per Y-vertex at each fill
+    # node to find that reach, 1,824 with one search per row filled
+    assert augments[0] < 250
     counts = counted("_bip_sum")
     assert verify_koenig_gstar(4, 4, 2)[0].cases == 2912
     # 1,002 = 3 per cover and 3 per sorted row tuple (28 and 306 of them);

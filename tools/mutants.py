@@ -1,21 +1,26 @@
-"""Mutation check for the oracle's comparisons, tie-breaks, grow rule and
-least-completion rule, and the count kernel's closed levels.
+"""Mutation check for the oracle's comparisons, tie-breaks, grow rule,
+least-completion rule, König fill and random draw, the matching number's
+blossom pass, and the count kernel's closed levels.
 
 Each mutant names one exact snippet of a source file, its replacement, and
 the pytest selection that should fail once the snippet is replaced.  For
 each mutant the script copies ``src``, ``tests`` and ``pyproject.toml`` to a
 temporary directory, applies the replacement there (never in the checkout)
 and runs the selection.  A mutant whose selection passes has survived: no
-test tells it from the real code.
+test tells it from the real code.  A selection still running after
+``TIMEOUT`` seconds is stopped and reported as ``timeout``, which counts as
+killed: a mutant that sends the code into an endless loop is told from the
+real code by never finishing (``nu-kills-the-tree-shifted`` loops on most
+graphs, so its selection starts with a hand-built graph it miscounts).
 
 Usage, from any directory:
 
     python tools/mutants.py            # every mutant
     python tools/mutants.py NAME ...   # the named ones
 
-Exits 0 when every mutant is killed, 1 when one survives, its snippet is
-not found exactly once in its file or its selection does not run, 2 on an
-unknown name.  Standard library only.
+Exits 0 when every mutant is killed or timed out, 1 when one survives, its
+snippet is not found exactly once in its file or its selection does not
+run, 2 on an unknown name.  Standard library only.
 """
 
 from __future__ import annotations
@@ -32,12 +37,14 @@ ORACLE = "src/turanmatch/oracle.py"
 MATCHING = "src/turanmatch/matching.py"
 COUNTING = "src/turanmatch/counting.py"
 TESTS = "tests/test_oracle.py"
+MATCHING_TESTS = "tests/test_matching.py"
+TIMEOUT = 60  # seconds per selection
 
 # (name, file, snippet, replacement, pytest selection)
 MUTANTS = [
     ("grown-child-searches-every-vertex", ORACLE,
-     "found = _missable(rows, nu, grow ^ cut)",
-     "found = _missable(rows, nu, ((1 << v) - 1) ^ cut)",
+     "side = grow if kept else full ^ grow",
+     "side = full if kept else full ^ grow",
      [f"{TESTS}::test_grow_table_probes_one_side_of_grow_per_cut"]),
     ("kept-child-drops-v", ORACLE,
      "else grow | 1 << v | reach & ~grow",
@@ -67,9 +74,9 @@ MUTANTS = [
      "empty = (n - v) * base",
      [f"{TESTS}::test_tied_tasks_stop_at_the_empty_completion"]),
     ("missable-probes-one-size-short", MATCHING,
-     "if _exists_matching(adj, full ^ b, r):",
-     "if _exists_matching(adj, full ^ b, r - 1):",
-     ["tests/test_matching.py::test_missable_vertices_keep_the_matching_number_when_removed"]),
+     "if _exists_matching(adj, free ^ b, r):",
+     "if _exists_matching(adj, free ^ b, r - 1):",
+     [f"{MATCHING_TESTS}::test_missable_vertices_keep_the_matching_number_when_removed"]),
     ("last-vertex-prune-drops-ties", ORACLE,
      "if top < best_value or (top == best_value and mask >= best_mask):",
      "if top <= best_value or (top == best_value and mask >= best_mask):",
@@ -96,13 +103,71 @@ MUTANTS = [
      "meet & (holding[max(gap + 2, 0)] if gap <= 0 else 0)",
      "meet & (holding[gap + 2] if -2 <= gap <= 0 else 0)",
      [f"{TESTS}::test_closure_tests_are_the_degree_tests_of_each_back_row"]),
+    ("handed-grow-keeps-empty-cuts", ORACLE,
+     "if back & missed:",
+     "if back & missed or not missed:",
+     [f"{TESTS}::test_handed_grow_is_each_childs_grow_afresh"]),
+    ("cut-outside-grow-probes-nu", ORACLE,
+     "nu if kept else nu - 1",
+     "nu",
+     [f"{TESTS}::test_handed_grow_is_each_childs_grow_afresh"]),
+    ("koenig-reach-seeds-no-exposed-vertex", ORACLE,
+     "reach, last = sum(1 << y for y, mate in enumerate(match_y) if mate < 0), -1",
+     "reach, last = 0, -1",
+     [f"{TESTS}::test_verify_koenig_gstar_matches_full_mask_reference"]),
+    ("koenig-reach-stops-after-one-pass", ORACLE,
+     "while reach != last:",
+     "if reach != last:",
+     [f"{TESTS}::test_verify_koenig_gstar_matches_full_mask_reference"]),
+    ("nu-kills-a-successful-tree", MATCHING,
+     "            if mate[root] >= 0:\n"
+     "                break\n"
+     "        else:\n"
+     "            alive &= ~tree",
+     "            if mate[root] >= 0:\n"
+     "                break\n"
+     "        alive &= ~tree",
+     [f"{MATCHING_TESTS}::test_nu_path_through_a_successful_tree",
+      f"{MATCHING_TESTS}::test_nu_matches_reference_on_every_small_graph"]),
+    ("nu-probe-keeps-the-root-an-end", MATCHING,
+     "ends ^= 1 << root",
+     "ends |= 1 << root",
+     [f"{MATCHING_TESTS}::test_nu_matches_reference_on_every_small_graph"]),
+    ("nu-kills-the-trees-neighbours", MATCHING,
+     "alive &= ~tree  # a Hungarian tree",
+     "for u in range(n):\n"
+     "                if tree >> u & 1:\n"
+     "                    alive &= ~adj[u]\n"
+     "            alive &= ~tree  # a Hungarian tree",
+     [f"{MATCHING_TESTS}::test_nu_path_beside_a_failed_tree",
+      f"{MATCHING_TESTS}::test_nu_matches_reference_on_every_small_graph"]),
+    ("nu-kills-the-tree-shifted", MATCHING,
+     "alive &= ~tree  # a Hungarian tree",
+     "alive &= ~(tree << 1)  # a Hungarian tree",
+     [f"{MATCHING_TESTS}::test_nu_path_beside_a_failed_tree",
+      f"{MATCHING_TESTS}::test_nu_matches_reference_on_every_small_graph"]),
+    ("nu-pass-stops-at-two-ends", MATCHING,
+     "while (ends := free & alive) & ends - 1:",
+     "while (ends := free & alive).bit_count() > 2:",
+     [f"{MATCHING_TESTS}::test_nu_matches_reference_on_every_small_graph"]),
+    ("random-draw-in-column-order", ORACLE,
+     "                for u in range(n):\n"
+     "                    for v in range(u + 1, n):",
+     "                for v in range(n):\n"
+     "                    for u in range(v):",
+     [f"{TESTS}::test_verify_shift_lemmas_random_draw_is_pinned"]),
+    ("random-draw-fixes-j", ORACLE,
+     "j = rng.randrange(i + 1, n)",
+     "j = n - 1",
+     [f"{TESTS}::test_verify_shift_lemmas_random_draw_is_pinned"]),
 ]
 
 
 def run(path: str, snippet: str, replacement: str, selection: list[str]) -> str:
-    """'killed' (a selected test failed), 'survived' (all passed), 'missing'
-    (the snippet is not in ``path`` exactly once) or 'error' (pytest could
-    not run the selection, say a test name that no longer exists)."""
+    """'killed' (a selected test failed), 'timeout' (the selection ran past
+    ``TIMEOUT``), 'survived' (all passed), 'missing' (the snippet is not in
+    ``path`` exactly once) or 'error' (pytest could not run the selection,
+    say a test name that no longer exists)."""
     with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
         work = Path(tmp)
         for part in ("src", "tests"):
@@ -114,9 +179,13 @@ def run(path: str, snippet: str, replacement: str, selection: list[str]) -> str:
         if text.count(snippet) != 1:
             return "missing"
         target.write_text(text.replace(snippet, replacement))
-        proc = subprocess.run(
-            [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *selection],
-            cwd=work, stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *selection],
+                cwd=work, stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
+                timeout=TIMEOUT)
+        except subprocess.TimeoutExpired:
+            return "timeout"
         return {0: "survived", 1: "killed"}.get(proc.returncode, "error")
 
 
@@ -133,7 +202,7 @@ def main(names: list[str]) -> int:
         start = time.perf_counter()
         outcome = run(path, snippet, replacement, selection)
         print(f"{outcome:8} {name} ({time.perf_counter() - start:.1f} s)", flush=True)
-        bad += outcome != "killed"
+        bad += outcome not in ("killed", "timeout")
     return 1 if bad else 0
 
 
