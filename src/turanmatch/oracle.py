@@ -102,7 +102,7 @@ def iter_free_graphs(n: int, k: int):
         raise ValueError(f"need n, k >= 0, got n={n}, k={k}")
     if not n:
         return iter([Graph(0)])
-    return (Graph(n, _child(adj, back))
+    return (Graph._trusted(n, _child(adj, back))
             for adj, nu, grow, _ in _last_parents(n, k)
             for back in range(1 << n - 1) if nu < k or not back & grow)
 
@@ -483,15 +483,21 @@ def verify_shift_lemmas(
     (sizes 2..max_s) and star-pair counts (sides up to max_s, max_t) never
     shrink.  Each graph's quantities are measured once, before its shifts.
     """
-    titles = {
-        "edges": "edge-conservation",
-        "matching": "matching-monotone",
-        "cliques": "clique-monotone",
-        "stars": "star-monotone",
+    # law -> (check name, its (label, quantity, violated(before, after)) rows in report order)
+    laws = {
+        "edges": ("edge-conservation",
+                  [("edges", lambda a: sum(r.bit_count() for r in a) // 2, operator.ne)]),
+        "matching": ("matching-monotone", [("matching", _nu, operator.lt)]),
+        "cliques": ("clique-monotone",
+                    [(f"{s}-cliques", partial(_clique_top_sum, s=s, t=0), operator.gt)
+                     for s in range(2, max_s + 1)]),
+        "stars": ("star-monotone",
+                  [(f"star({s},{t})", partial(_clique_top_sum, s=s, t=t), operator.gt)
+                   for s in range(1, max_s + 1) for t in range(1, max_t + 1)]),
     }
-    unknown = [name for name in include if name not in titles]
+    unknown = [name for name in include if name not in laws]
     if unknown:
-        raise ValueError(f"unknown shift laws {unknown}, expected some of {list(titles)}")
+        raise ValueError(f"unknown shift laws {unknown}, expected some of {list(laws)}")
     rng_seed = None
     if samples is None:
         if n > 6:
@@ -527,29 +533,20 @@ def verify_shift_lemmas(
                 j = rng.randrange(i + 1, n)
                 yield rows, ((i, j),)
 
-    # (law, label, quantity, violated(before, after)), in report order per law
-    laws = [
-        ("edges", "edges", lambda a: sum(r.bit_count() for r in a) // 2, operator.ne),
-        ("matching", "matching", _nu, operator.lt),
-        *(("cliques", f"{s}-cliques", partial(_clique_top_sum, s=s, t=0), operator.gt)
-          for s in range(2, max_s + 1)),
-        *(("stars", f"star({s},{t})", partial(_clique_top_sum, s=s, t=t), operator.gt)
-          for s in range(1, max_s + 1) for t in range(1, max_t + 1)),
-    ]
     bad: dict[str, list[str]] = {name: [] for name in include}
-    laws = [law for law in laws if law[0] in bad]
+    rules = [(name, *rule) for name in bad for rule in laws[name][1]]
     cases = 0
     for rows, pairs in instances():
-        before = [quantity(rows) for _, _, quantity, _ in laws]
+        before = [quantity(rows) for _, _, quantity, _ in rules]
         for i, j in pairs:
             cases += 1
             image = _shift_adj(rows, i, j)
-            for (law, label, quantity, violated), q0 in zip(laws, before):
+            for (law, label, quantity, violated), q0 in zip(rules, before):
                 q1 = quantity(image)
                 if violated(q0, q1):
                     where = f"G={_edge_text(rows)} i={i + 1} j={j + 1}"
                     bad[law].append(f"{where}: {label} {q0} -> {q1}")
-    return [Check(titles[name], cases, tuple(bad[name]), rng_seed) for name in include]
+    return [Check(laws[name][0], cases, tuple(bad[name]), rng_seed) for name in include]
 
 
 def verify_shifted_structure(n: int, k: int) -> list[Check]:
@@ -698,10 +695,11 @@ def verify_koenig_gstar(
     maximum; a row meeting it makes one augmenting search on a copy.  A
     partial graph whose matching number, undecided rows empty, already
     exceeds k is dropped with every completion: each completion contains
-    it, so none is a case; nothing is dropped when k >= min(nx, ny).  Every
-    surviving graph gets the full check, its cover read off the carried
-    matching: the alternating-reachability cover is the same for every
-    maximum matching.  Each saturated host is scored once per cover, and
+    it, so none is a case; nothing is dropped when k >= min(nx, ny), where
+    an augmenting row reaches size + 1 <= min(nx, ny) <= k.  Every surviving
+    graph gets the full check, its cover read off the carried matching: the
+    alternating-reachability cover is the same for every maximum matching.
+    Each saturated host is scored, with its closed form, once per cover, and
     each case's counts once per sorted row tuple: permuting X-rows changes
     no biclique count, as ``max_over_free_bip`` also relies on.
     """
@@ -710,20 +708,9 @@ def verify_koenig_gstar(
     if nx < 0 or ny < 0 or k < 0:
         raise ValueError(f"need nx, ny, k >= 0, got nx={nx}, ny={ny}, k={k}")
     full_y = (1 << ny) - 1
-    bounded = k < min(nx, ny)  # otherwise no graph exceeds the bound
-    # expected host count per (x, s, t), x = |X-side of a case's cover| <= k;
-    # no graph has matching number k > min(nx, ny), so then none is needed
-    formula = {
-        (x, s, t): bip_split_count(nx, k, x, s, s, ny) if s == t
-        else bip_split_count_sym(nx, k, x, s, t, ny)
-        for x in range(k + 1) if k <= min(nx, ny)
-        for s, t in pairs
-    }
     cases = 0
-    dual_bad: list[str] = []
-    contain_bad: list[str] = []
-    mono_bad: list[str] = []
-    formula_bad: list[str] = []
+    bad: dict[str, list[str]] = {name: [] for name in (
+        "koenig-duality", "gstar-contains", "gstar-monotone", "gstar-formula")}
     rows = [0] * nx
 
     def where(rows) -> str:
@@ -737,7 +724,7 @@ def verify_koenig_gstar(
             for y, mate in enumerate(match_y):
                 if mate >= 0 and rows[mate] & reach:
                     reach |= 1 << y
-        grows = not bounded or size < k
+        grows = size < k
         for row in range(full_y + 1):
             rows[x] = row
             if not row & reach:
@@ -754,7 +741,7 @@ def verify_koenig_gstar(
                 yield matched
         rows[x] = 0
 
-    hosts: dict[tuple[int, int], list[int]] = {}  # (xs, ys) -> the host's counts per pair
+    hosts: dict[tuple[int, int], list[tuple[int, int]]] = {}  # cover -> (count, formula) per pair
     counts: dict[tuple[int, ...], list[int]] = {}  # sorted rows -> the case's counts per pair
     # each case's maximum matching; with no X-rows the one graph is empty, a case at k = 0
     leaves = fill(nx - 1, 0, [-1] * ny) if nx else [[-1] * ny] * (k == 0)
@@ -764,31 +751,27 @@ def verify_koenig_gstar(
         if xs.bit_count() + ys.bit_count() != k:
             cover = tuple(tuple(a + 1 for a in range(m) if side >> a & 1)
                           for m, side in ((nx, xs), (ny, ys)))
-            dual_bad.append(f"{where(rows)}: cover {cover} vs matching {k}")
+            bad["koenig-duality"].append(f"{where(rows)}: cover {cover} vs matching {k}")
             continue
         star_rows = [full_y if xs >> x & 1 else ys for x in range(nx)]
         if any(rows[x] & ~star_rows[x] for x in range(nx)):
-            contain_bad.append(f"{where(rows)}: not contained in its saturated host")
+            bad["gstar-contains"].append(f"{where(rows)}: not contained in its saturated host")
             continue
-        x_count = xs.bit_count()
         host = hosts.get((xs, ys))
         if host is None:
-            host = hosts[xs, ys] = [_bip_sum(star_rows, ny, s, t) for s, t in pairs]
+            x = xs.bit_count()
+            host = hosts[xs, ys] = [
+                (_bip_sum(star_rows, ny, s, t), bip_split_count(nx, k, x, s, s, ny) if s == t
+                 else bip_split_count_sym(nx, k, x, s, t, ny)) for s, t in pairs]
         orbit = tuple(sorted(rows))
         here = counts.get(orbit)
         if here is None:
             here = counts[orbit] = [_bip_sum(rows, ny, s, t) for s, t in pairs]
-        for (s, t), c_star, c_g in zip(pairs, host, here):
+        for (s, t), (c_star, expected), c_g in zip(pairs, host, here):
             if c_g > c_star:
-                mono_bad.append(f"{where(rows)} (s,t)=({s},{t}): {c_g} > {c_star}")
-            expected = formula[x_count, s, t]
+                bad["gstar-monotone"].append(f"{where(rows)} (s,t)=({s},{t}): {c_g} > {c_star}")
             if c_star != expected:
-                formula_bad.append(
+                bad["gstar-formula"].append(
                     f"{where(rows)} (s,t)=({s},{t}): host count {c_star} != formula {expected}"
                 )
-    return [
-        Check("koenig-duality", cases, tuple(dual_bad)),
-        Check("gstar-contains", cases, tuple(contain_bad)),
-        Check("gstar-monotone", cases, tuple(mono_bad)),
-        Check("gstar-formula", cases, tuple(formula_bad)),
-    ]
+    return [Check(name, cases, tuple(found)) for name, found in bad.items()]

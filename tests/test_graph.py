@@ -182,12 +182,13 @@ def test_parse_rejects_text_outside_the_format():
 
 
 @st.composite
-def edge_list_texts(draw):
-    """Serialized graphs with a few random edits, or short arbitrary text."""
+def edge_list_texts(draw, serialized):
+    """Texts drawn from ``serialized`` with a few random edits, or short
+    arbitrary text."""
     alphabet = "0123456789 \n\r\t+-_\uff11"
     if draw(st.booleans()):
         return draw(st.text(alphabet=alphabet, max_size=24))
-    text = serialize_graph(draw(graphs(max_n=6)))
+    text = draw(serialized)
     for _ in range(draw(st.integers(0, 3))):
         i = draw(st.integers(0, len(text)))
         op = draw(st.sampled_from(("insert", "delete", "replace", "swap-lines")))
@@ -202,7 +203,7 @@ def edge_list_texts(draw):
     return text
 
 
-@given(edge_list_texts())
+@given(edge_list_texts(graphs(max_n=6).map(serialize_graph)))
 def test_parse_accepts_only_canonical_text(text):
     try:
         g = parse_graph(text)
@@ -212,6 +213,15 @@ def test_parse_accepts_only_canonical_text(text):
         return
     # The only latitude the format allows is leaving out the final LF.
     assert serialize_graph(g) == (text if text.endswith("\n") else text + "\n")
+
+
+@given(edge_list_texts(bip_graphs().map(serialize_bipartite)))
+def test_parse_bipartite_accepts_only_canonical_text(text):
+    try:
+        bg = parse_bipartite(text)
+    except (ParseError, CapacityError):  # off the format, or a header beyond the cap
+        return
+    assert serialize_bipartite(bg) == (text if text.endswith("\n") else text + "\n")
 
 
 def test_serialize_format():

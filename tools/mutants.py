@@ -1,6 +1,6 @@
 """Mutation check for the oracle's comparisons, tie-breaks, grow rule,
-least-completion rule, König fill and random draw, the matching number's
-blossom pass, and the count kernel's closed levels.
+least-completion rule, König fill and scoring and random draw, the
+matching number's blossom pass, and the count kernel's closed levels.
 
 Each mutant names one exact snippet of a source file, its replacement, and
 the pytest selection that should fail once the snippet is replaced.  For
@@ -119,6 +119,16 @@ MUTANTS = [
      "while reach != last:",
      "if reach != last:",
      [f"{TESTS}::test_verify_koenig_gstar_matches_full_mask_reference"]),
+    ("koenig-augments-at-k", ORACLE,
+     "grows = size < k",
+     "grows = size <= k",
+     [f"{TESTS}::test_koenig_check_carries_its_matching_down_the_rows",
+      f"{TESTS}::test_verify_koenig_gstar_prunes_row_prefixes"]),
+    ("koenig-formula-reads-the-y-side", ORACLE,
+     "x = xs.bit_count()",
+     "x = ys.bit_count()",
+     [f"{TESTS}::test_verify_koenig_gstar_small",
+      f"{TESTS}::test_verify_koenig_gstar_4x4"]),
     ("nu-kills-a-successful-tree", MATCHING,
      "            if mate[root] >= 0:\n"
      "                break\n"
