@@ -8,7 +8,8 @@ Whether a matching of a given size exists is a small branch-and-bound on a
 vertex set; one such probe per vertex finds the vertices of a set that some
 maximum matching misses (``_missable``), which the oracle's vertex-row walks
 find once for each parent less one vertex, read by masks on the parent's own
-rows, to hand every child its own.
+rows, to hand every child its own, and the degree closure once for each
+parent less a pair, to decide that pair in every child at once.
 Bipartite graphs use augmenting paths; the minimum cover is built from a
 given maximum matching by the standard alternating-reachability
 construction, so its size always equals the matching size.

@@ -577,14 +577,26 @@ def verify_bondy_chvatal(n: int) -> list[Check]:
 
     For each instance let k+1 be the matching number after adding the edge;
     if both endpoint degrees sum to at least 2k+1 the matching number must
-    not have grown.  Each graph's non-edge slots are its cases.  The parents
-    of the last vertex come from the vertex-row walk ``_last_parents``, with
-    their matching number and ``grow`` mask.  Each parent picks its matching
-    tests in bulk (``_closure_tests``): per pair, the back-rows whose child
-    meets the degree test form one integer, bit B for back-row B, read off
-    tables made once per n, so only those (back-row, pair) tests pay for the
-    matching test, and each child's rows are built once, at its first test.
-    Violations are reported in ascending edge mask, then slot, order.
+    not have grown.  Each graph's non-edge slots are its cases.  The graphs
+    are the children of ``_last_parents``: a parent with matching number nu
+    and D set ``grow`` (the vertices some maximum matching misses), and the
+    last vertex v joined to a back-row B.  A new vertex raises a matching
+    number exactly when it is joined to the D set (Gallai 1964, Edmonds
+    1965), so the child's k is nu, plus one where B meets ``grow``.  Per
+    parent and pair, two integers holding bit B for each back-row B decide
+    every child at once: ``_closure_tests`` sets the B whose child meets the
+    degree test, ``_closure_hits`` the B whose child less the pair still
+    spans a matching of size k, by two rules on the parent's own rows:
+
+    - the child less u and v is the parent less u, which keeps nu exactly
+      when u is in ``grow``;
+    - for w < v, the child less u and w is Q, the parent less u and w, with
+      v joined to B less u and w: its matching number is nu(Q), plus one
+      where B meets D(Q).
+
+    Their common bits are the violations; only a violation's child is built,
+    for its text.  Violations are reported in ascending edge mask, then
+    slot, order.
     """
     if n > MAX_ORACLE_VERTICES:
         raise CapacityError(f"capped at n <= {MAX_ORACLE_VERTICES}")
@@ -592,35 +604,61 @@ def verify_bondy_chvatal(n: int) -> list[Check]:
         raise ValueError(f"need n >= 0, got n={n}")
     slot_of = {pair: i for i, pair in enumerate(_EDGE_SLOTS[n])}
     canon = _BACK_MASKS[n]
-    full = (1 << n) - 1
     cases = 0
     found = []  # (mask, slot, text), sorted at the end
-
-    def report(rows: list[int], u: int, v: int, k: int, mask: int, slot: int) -> None:
-        found.append((mask, slot, f"G={_edge_text(rows)} uv=({u + 1},{v + 1}) k={k}: "
-                                  f"degrees reach 2k+1 yet adding uv raises the matching number"))
-
     v = n - 1  # the last vertex
     tables = _closure_tables(max(v, 0))  # n = 0 has no parents
     for adj, nu, grow, mask in _last_parents(n, n):
         non_edges = comb(v, 2) - sum(row.bit_count() for row in adj) // 2
         cases += (non_edges << v) + (v << v >> 1)  # plus v - |B| to the last vertex, over all B
-        kids = [None] * (1 << v)  # the child on each back-row, built at its first test
         for u, w, backs in _closure_tests(adj, nu, grow, tables):
-            slot = slot_of[u, w]
-            free = full ^ (1 << u) ^ (1 << w)
+            backs &= _closure_hits(adj, nu, grow, u, w, tables)
             while backs:
                 low = backs & -backs
                 backs ^= low
                 back = low.bit_length() - 1
-                rows = kids[back] or _child(adj, back)
-                kids[back] = rows
-                knu = nu + (1 if back & grow else 0)
-                if _exists_matching(rows, free, knu):
-                    report(rows, u, w, knu, mask | canon[v][back], slot)
+                k = nu + (1 if back & grow else 0)
+                found.append((mask | canon[v][back], slot_of[u, w],
+                              f"G={_edge_text(_child(adj, back))} uv=({u + 1},{w + 1}) k={k}: "
+                              f"degrees reach 2k+1 yet adding uv raises the matching number"))
 
     found.sort()
     return [Check("degree-closure", cases, tuple(text for _, _, text in found))]
+
+
+def _closure_hits(adj, nu, grow, u, w, tables) -> int:
+    """Bit B set for each back-row B of v = len(adj) whose child below the
+    parent rows ``adj`` (matching number nu, D set ``grow``) less u and w
+    spans a matching as large as the child's: nu + 1 for the B of ``meet``,
+    meeting ``grow``, and nu for those of ``miss``, by the two rules of
+    ``verify_bondy_chvatal``.  ``tables`` is ``_closure_tables(v)``.
+
+    The probe for D(Q) skips the vertices that cannot lie in the part it
+    reads.  If Q keeps nu, a maximum matching of Q, or of Q less a vertex
+    of D(Q), is one of the parent, so u, w and D(Q) lie in ``grow``.  If Q
+    spans nu - 1 only, just the part outside ``grow`` meets a B of
+    ``miss``; and if an end x of the pair lies outside ``grow``, the other
+    end is in D(parent less x), which then holds D(Q) and, by the
+    Gallai-Edmonds structure theorem, no vertex of A, the neighbours of
+    ``grow`` outside it."""
+    every, _, _, meets = tables
+    v = len(adj)
+    meet = meets[grow]
+    miss = every ^ meet
+    if w == v:
+        return miss if grow >> u & 1 else 0
+    full = (1 << v) - 1
+    rest = full ^ 1 << u ^ 1 << w  # Q
+    if grow >> u & grow >> w & 1 and _exists_matching(adj, rest, nu):
+        return miss | meet & meets[_missable(adj, rest, nu, rest & grow)]
+    if not _exists_matching(adj, rest, nu - 1):
+        return 0
+    side = full ^ grow
+    if (1 << u | 1 << w) & side:  # skip the A set, grow's neighbours
+        for d in range(v):
+            if grow >> d & 1:
+                side &= ~adj[d]
+    return miss & meets[_missable(adj, rest, nu - 1, rest & side)]
 
 
 def _closure_tables(v: int):

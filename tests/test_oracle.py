@@ -215,10 +215,15 @@ def test_verify_bondy_chvatal_small():
         assert check.cases == m * 2**m // 2  # every non-edge of every graph
 
 
+def _every_back_row(adj, nu, grow, u, w, tables):
+    """A ``_closure_hits`` fake: every child's matching number grows."""
+    return tables[0]
+
+
 def test_verify_bondy_chvatal_violation_text(monkeypatch):
     # no graph on 4 vertices has a non-edge meeting the degree condition, so
     # the smallest order where the text can appear is 5
-    monkeypatch.setattr("turanmatch.oracle._exists_matching", lambda *a: True)
+    monkeypatch.setattr("turanmatch.oracle._closure_hits", _every_back_row)
     (check,) = verify_bondy_chvatal(5)
     assert (check.cases, len(check.violations)) == (5120, 580)
     assert check.violations[0] == (
@@ -230,7 +235,7 @@ def test_verify_bondy_chvatal_violation_text(monkeypatch):
 def test_degree_condition_is_first_met_at_five_vertices(monkeypatch):
     # with every added edge counted as raising the matching number, each
     # non-edge meeting d(u)+d(v) >= 2k+1 is reported
-    monkeypatch.setattr("turanmatch.oracle._exists_matching", lambda *a: True)
+    monkeypatch.setattr("turanmatch.oracle._closure_hits", _every_back_row)
     for n in range(5):
         assert verify_bondy_chvatal(n)[0].violations == (), n
     assert len(verify_bondy_chvatal(5)[0].violations) == 580
@@ -245,7 +250,8 @@ def _inject(monkeypatch, name, fake):
 def test_verify_bondy_chvatal_matches_reference(monkeypatch):
     for n in range(7):
         assert verify_bondy_chvatal(n) == ref_verify_bondy_chvatal(n), n
-    _inject(monkeypatch, "_exists_matching", lambda *a: True)
+    monkeypatch.setattr("turanmatch.oracle._closure_hits", _every_back_row)
+    monkeypatch.setattr("helpers._exists_matching", lambda *a: True)
     for n in range(7):
         assert verify_bondy_chvatal(n) == ref_verify_bondy_chvatal(n), n
 
@@ -481,7 +487,8 @@ def counted(monkeypatch):
 
 
 def _probes(counted):
-    """The grow probes of both row walks, one per vertex ``_missable`` tests."""
+    """The ``_missable`` probes, one per vertex tested: the grow probes of
+    both row walks and the degree closure's D(Q) probes."""
     return counted("_missable", lambda adj, free, r, maybe: maybe.bit_count())
 
 
@@ -534,11 +541,15 @@ def test_degree_closure_counts_matchings_once_per_parent_vertex(counted):
     probes = _probes(counted)
     (check,) = verify_bondy_chvatal(6)
     assert (check.cases, check.violations) == (245_760, ())
-    assert probes[0] <= 6_000  # 652; 5,405 = v per parent on v < 6 vertices; 32,768 one per graph
+    # 952: 652 grow probes and 300 D(Q) probes; 5,405 grow probes = v per
+    # parent on v < 6 vertices; 32,768 one per graph
+    assert probes[0] <= 6_000
 
 
 def test_degree_filter_selects_the_same_matching_tests(monkeypatch):
-    # the (back-row, pair) tests passing the degree test, by matching size
+    # the matching tests of the pairs passing the degree test, by matching
+    # size: one or two per parent and pair; one per child and pair gave
+    # {1: 20, 2: 560} at n = 5 and {1: 150, 2: 5_715, 3: 8_505} at n = 6
     calls = Counter()
 
     def counted(adj, free, r):
@@ -546,7 +557,7 @@ def test_degree_filter_selects_the_same_matching_tests(monkeypatch):
         return _exists_matching(adj, free, r)
 
     monkeypatch.setattr("turanmatch.oracle._exists_matching", counted)
-    for n, expected in ((5, {1: 20, 2: 560}), (6, {1: 150, 2: 5_715, 3: 8_505})):
+    for n, expected in ((5, {0: 12, 1: 60}), (6, {0: 80, 1: 1_340, 2: 430})):
         calls.clear()
         assert verify_bondy_chvatal(n)[0].status == "pass"
         assert calls == expected, n
@@ -575,14 +586,70 @@ def test_closure_tests_are_the_degree_tests_of_each_back_row(g):
     assert got == expected
 
 
+def _selective(parent, u, w, back):
+    return hash((tuple(parent), u, w, back)) % 3 == 0
+
+
 def test_verify_bondy_chvatal_matches_reference_under_a_selective_fake(monkeypatch):
-    # unlike an all-True fake, this one answers by the exact rows, free mask
-    # and matching size asked, so a wrong leaf row, pair or k changes the
-    # reported instances
-    _inject(monkeypatch, "_exists_matching", lambda adj, free, r: hash((tuple(adj), free, r)) % 3 == 0)
+    # unlike an all-True fake, this one answers by the exact parent rows,
+    # pair and back-row asked, so a wrong leaf row, pair or k changes the
+    # reported instances; the reference's leaf splits into its parent rows
+    # and its last back-row
+    def hits(adj, nu, grow, u, w, tables):
+        return sum(1 << back for back in range(1 << len(adj)) if _selective(adj, u, w, back))
+
+    def leaf(rows, free, r):
+        v = len(rows) - 1
+        u, w = (x for x in range(v + 1) if not free >> x & 1)
+        return _selective([row & ~(1 << v) for row in rows[:v]], u, w, rows[v])
+
+    monkeypatch.setattr("turanmatch.oracle._closure_hits", hits)
+    monkeypatch.setattr("helpers._exists_matching", leaf)
     for n in range(7):
         assert verify_bondy_chvatal(n) == ref_verify_bondy_chvatal(n), n
     assert len(verify_bondy_chvatal(6)[0].violations) > 1000
+
+
+def _hits_by_child(adj, nu, grow, u, w):
+    """``_closure_hits`` the slow way: one child built and searched per
+    back-row B, for a matching of its matching number less u and w."""
+    v = len(adj)
+    full = (2 << v) - 1
+    hits = 0
+    for back in range(1 << v):
+        child = [row | (back >> x & 1) << v for x, row in enumerate(adj)] + [back]
+        if _exists_matching(child, full ^ 1 << u ^ 1 << w, nu + (1 if back & grow else 0)):
+            hits |= 1 << back
+    return hits
+
+
+def _assert_closure_hits(adj, nu, grow):
+    """Bit B of ``_closure_hits`` is the child's own search for every pair
+    u < w <= v non-adjacent in the child on B."""
+    v = len(adj)
+    tables = oracle._closure_tables(v)
+    every, contains = tables[0], tables[1]
+    for u, w in combinations(range(v + 1), 2):
+        if w < v and adj[u] >> w & 1:
+            continue
+        apart = every ^ contains[u] if w == v else every  # u outside B, for (u, v)
+        got = oracle._closure_hits(adj, nu, grow, u, w, tables)
+        assert got & apart == _hits_by_child(adj, nu, grow, u, w) & apart, (adj, u, w)
+
+
+def test_closure_hits_are_each_childs_search():
+    # 251,085 (parent, pair, back-row) instances; the law has no
+    # counterexamples, so only this test sees a helper that hits too little
+    for n in range(1, 7):
+        for adj, nu, grow, _ in oracle._last_parents(n, n):
+            _assert_closure_hits(adj, nu, grow)
+
+
+@given(graphs(min_n=6, max_n=6))
+@example(Graph.from_edges(6, [(1, 5), (2, 6), (3, 6)]))  # pair (1, 2) probes D(Q) beside A = {6}
+def test_closure_hits_are_each_childs_search_on_six_vertex_parents(g):
+    nu = _nu(g.adj)
+    _assert_closure_hits(g.adj, nu, ref_grow(g.adj, nu))
 
 
 def _table(adj, n, backs, s, t, reach=-1):
@@ -755,7 +822,7 @@ def test_koenig_check_carries_its_matching_down_the_rows(counted):
 def test_degree_closure_inherits_the_parents_grow(counted):
     probes = _probes(counted)
     assert verify_bondy_chvatal(6)[0].cases == 245_760
-    assert probes[0] <= 4_800  # 652; 5,405 with grow afresh at every node
+    assert probes[0] <= 4_800  # 652 grow + 300 D(Q); 5,405 grow probes with grow afresh at every node
 
 
 def test_tied_tasks_stop_at_the_empty_completion(counted):
@@ -902,7 +969,9 @@ def test_unbounded_scans_gain_once_per_edge_of_the_complete_graph(counted):
 def test_grow_tables_cut_the_probes(counted):
     probes = _probes(counted)
     assert verify_bondy_chvatal(6)[0].cases == 245_760
-    assert probes[0] <= 1_000  # 652; 3,699 probing each child after it is built
+    # 652 grow probes and 300 D(Q) probes; 3,699 grow probes probing each
+    # child after it is built, 480 D(Q) probes reading the A set too
+    assert probes[0] <= 1_000
     probes[0] = 0
     assert max_over_free(7, 2, 2).value == 11
     assert probes[0] <= 5_000  # 2,924; 8,225 probing each child after it is built
@@ -914,7 +983,8 @@ def test_grown_children_search_only_the_parents_grow(counted):
     assert probes[0] <= 9_000  # 2,924; 10,527 searching every vertex of a child whose nu grew
     probes[0] = 0
     assert verify_bondy_chvatal(6)[0].cases == 245_760
-    assert probes[0] <= 4_000  # 652; 4,528 searching every vertex of a child whose nu grew
+    # 652 grow + 300 D(Q); 4,528 grow probes searching every vertex of a child whose nu grew
+    assert probes[0] <= 4_000
 
 
 @given(graphs(min_n=0, max_n=6), st.data())

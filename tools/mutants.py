@@ -1,6 +1,7 @@
 """Mutation check for the oracle's comparisons, tie-breaks, grow rule,
-least-completion rule, König fill and scoring and random draw, the
-matching number's blossom pass, and the count kernel's closed levels.
+least-completion rule, degree-closure rules, König fill and scoring and
+random draw, the matching number's blossom pass, and the count kernel's
+closed levels.
 
 Each mutant names one exact snippet of a source file, its replacement, and
 the pytest selection that should fail once the snippet is replaced.  For
@@ -103,6 +104,22 @@ MUTANTS = [
      "meet & (holding[max(gap + 2, 0)] if gap <= 0 else 0)",
      "meet & (holding[gap + 2] if -2 <= gap <= 0 else 0)",
      [f"{TESTS}::test_closure_tests_are_the_degree_tests_of_each_back_row"]),
+    ("closure-pair-with-v-ignores-grow", ORACLE,
+     "return miss if grow >> u & 1 else 0",
+     "return miss",
+     [f"{TESTS}::test_closure_hits_are_each_childs_search"]),
+    ("closure-drops-the-grown-children", ORACLE,
+     "return miss | meet & meets[_missable(adj, rest, nu, rest & grow)]",
+     "return miss",
+     [f"{TESTS}::test_closure_hits_are_each_childs_search"]),
+    ("closure-second-probe-keeps-nu", ORACLE,
+     "_missable(adj, rest, nu - 1, rest & side)",
+     "_missable(adj, rest, nu, rest & side)",
+     [f"{TESTS}::test_closure_hits_are_each_childs_search"]),
+    ("closure-probe-keeps-the-a-set", ORACLE,
+     "side &= ~adj[d]",
+     "side &= ~adj[d] | full",
+     [f"{TESTS}::test_grow_tables_cut_the_probes"]),
     ("handed-grow-keeps-empty-cuts", ORACLE,
      "if back & missed:",
      "if back & missed or not missed:",
