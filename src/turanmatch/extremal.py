@@ -39,46 +39,39 @@ def _require(cond: bool, msg: str) -> None:
 
 
 def ex_edges(n: int, k: int) -> int:
-    """Maximum edge count of an n-vertex graph with matching number <= k."""
-    _require(k >= 0, f"need k >= 0, got k={k}")
-    _require(n >= 2 * k + 1, f"need n >= 2k+1, got n={n}, k={k}")
-    return max(binom(2 * k + 1, 2), binom(k, 2) + k * (n - k))
+    """Maximum edge count of an n-vertex graph with matching number <= k:
+    ex_clique(n, k, 2) = max(C(2k+1, 2), C(k, 2) + k(n-k))."""
+    return ex_clique(n, k, 2)
 
 
 def ex_clique(n: int, k: int, s: int) -> int:
-    """Maximum number of s-cliques of an n-vertex graph with matching number <= k.
-
-    Zero when s > 2k+1: both terms vanish under the binomial convention.
-    """
+    """Maximum number of s-cliques of an n-vertex graph with matching number <= k:
+    max(C(2k+1, s), C(k, s) + (n-k) C(k, s-1)), the counts in the end hosts
+    K_{2k+1} u E_{n-2k-1} (ell = 2k+1) and K_k v E_{n-k} (ell = k+1) of
+    extremal_graph.  Zero when s > 2k+1."""
     _require(s >= 2, f"need s >= 2, got s={s}")
-    _require(k >= 0, f"need k >= 0, got k={k}")
-    _require(n >= 2 * k + 1, f"need n >= 2k+1, got n={n}, k={k}")
-    return max(binom(2 * k + 1, s), binom(k, s) + (n - k) * binom(k, s - 1))
+    return max(extremal_clique_count(n, k, ell, s) for ell in (k + 1, 2 * k + 1))
 
 
 def ex_star(n: int, k: int, s: int, t: int) -> int:
-    """Maximum number of (s-clique joined to t-set) copies with matching number <= k."""
+    """Maximum number of (s-clique joined to t-set) copies with matching number
+    <= k: max(C(2k+1, s+t) C(s+t, t), C(k, s) C(n-s, t) + (n-k) C(k, s+t-1)
+    C(s+t-1, t)), the counts in K_{2k+1} u E_{n-2k-1} (ell = 2k+1) and
+    K_k v E_{n-k} (ell = k+1)."""
     _require(s >= 1, f"need s >= 1, got s={s}")
     _require(t >= 2, f"need t >= 2, got t={t}; for t = 1 the pattern is an "
                      f"(s+1)-clique, use ex_clique(n, k, s + 1)")
-    _require(k >= 0, f"need k >= 0, got k={k}")
-    _require(n >= 2 * k + 1, f"need n >= 2k+1, got n={n}, k={k}")
-    return max(
-        binom(2 * k + 1, s + t) * binom(s + t, t),
-        binom(k, s) * binom(n - s, t)
-        + (n - k) * binom(k, s + t - 1) * binom(s + t - 1, t),
-    )
+    return max(extremal_star_count(n, k, ell, s, t) for ell in (k + 1, 2 * k + 1))
 
 
 def ex_bip(n: int, k: int, s: int, t: int) -> int:
     """Maximum number of (s, t)-biclique copies in a bipartite host with parts
-    of size n and matching number <= k."""
+    of size n and matching number <= k: C(k, s) C(n, t) + C(k, t) C(n, s), one
+    term if s == t, the count in the host whose cover lies on one side (x = k)."""
     _require(s >= 1 and t >= 1, f"need s, t >= 1, got s={s}, t={t}")
     _require(k >= 0, f"need k >= 0, got k={k}")
     _require(n >= k, f"need n >= k, got n={n}, k={k}")
-    if s == t:
-        return binom(k, s) * binom(n, s)
-    return binom(k, s) * binom(n, t) + binom(k, t) * binom(n, s)
+    return (bip_split_count if s == t else bip_split_count_sym)(n, k, k, s, t)
 
 
 # ---------------------------------------------------------------------------

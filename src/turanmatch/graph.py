@@ -103,18 +103,6 @@ class Graph:
             raise ValueError(f"label {u} outside 1..{self.n}")
         return self.adj[u - 1].bit_count()
 
-    def neighbors(self, u: int) -> list[int]:
-        """Sorted neighbor labels of u."""
-        if not 1 <= u <= self.n:
-            raise ValueError(f"label {u} outside 1..{self.n}")
-        mask = self.adj[u - 1]
-        out = []
-        while mask:
-            b = mask & -mask
-            mask ^= b
-            out.append(b.bit_length())
-        return out
-
     def edges(self) -> list[Edge]:
         """All edges sorted by (u, v)."""
         out = []

@@ -105,13 +105,12 @@ def shifted_graphs(n: int) -> Iterator[Graph]:
     graph the below-neighbors of each vertex v form a prefix 1..h(v), and a
     full column (h(v) = v-1) is only possible when the previous column is
     full.  This enumerates exactly the fixpoints of compress without
-    filtering all 2^C(n,2) graphs.
+    filtering all 2^C(n,2) graphs.  n is checked at the call, before the
+    first graph is asked for.
     """
-    if n <= 0:
-        if n == 0:
-            yield Graph(0, [])
-        return
     _check_vertex_count(n)
+    if not n:
+        return iter([Graph(0)])
     adj = [0] * n
 
     def rec(c: int, prev_h: int, prev_full: bool) -> Iterator[Graph]:
@@ -132,4 +131,4 @@ def shifted_graphs(n: int) -> Iterator[Graph]:
                 adj[a] &= ~bc
             adj[c] = 0
 
-    yield from rec(1, 0, True)
+    return rec(1, 0, True)

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from turanmatch import (
@@ -66,6 +68,36 @@ def test_ex_star_examples():
         ex_star(6, 2, 1, 1)
     with pytest.raises(ParameterRangeError):
         ex_star(4, 2, 1, 2)
+
+
+def _c(a, r):
+    # the binomial of these tests' own transcription of the theorems' maxima
+    return math.comb(a, r) if 0 <= r <= a else 0
+
+
+def test_ex_edges_clique_star_are_the_theorems_closed_forms_at_large_n():
+    for k in range(21):
+        hosts = range(2 * k + 1, 65)
+        assert [ex_edges(n, k) for n in hosts] == [
+            max(_c(2 * k + 1, 2), _c(k, 2) + k * (n - k)) for n in hosts], k
+        for s in range(2, 2 * k + 4):
+            assert [ex_clique(n, k, s) for n in hosts] == [
+                max(_c(2 * k + 1, s), _c(k, s) + (n - k) * _c(k, s - 1)) for n in hosts], (k, s)
+            for t in range(2, 7):
+                assert [ex_star(n, k, s, t) for n in hosts] == [
+                    max(_c(2 * k + 1, s + t) * _c(s + t, t),
+                        _c(k, s) * _c(n - s, t) + (n - k) * _c(k, s + t - 1) * _c(s + t - 1, t))
+                    for n in hosts], (k, s, t)
+
+
+def test_ex_bip_is_the_theorems_closed_form_at_large_n():
+    for k in range(21):
+        hosts = range(k, 65)
+        for s in range(2, 2 * k + 4):
+            for t in range(1, 7):
+                assert [ex_bip(n, k, s, t) for n in hosts] == [
+                    _c(k, s) * _c(n, s) if s == t else _c(k, s) * _c(n, t) + _c(k, t) * _c(n, s)
+                    for n in hosts], (k, s, t)
 
 
 def test_ex_bip_examples():

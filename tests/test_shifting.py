@@ -3,6 +3,7 @@ from hypothesis import given
 
 from helpers import all_graphs, graph_from_mask, graphs, graphs_with_pair
 from turanmatch import (
+    CapacityError,
     Edge,
     Graph,
     complete_graph,
@@ -137,6 +138,14 @@ def test_shifted_graphs_matches_predicate_filter():
         filtered = {g for g in all_graphs(n) if is_shifted(g)}
         assert direct == filtered
         assert len(direct) == len(list(shifted_graphs(n)))
+
+
+def test_shifted_graphs_checks_its_argument_at_the_call():
+    with pytest.raises(CapacityError):
+        shifted_graphs(65)
+    with pytest.raises(ValueError):
+        shifted_graphs(-1)
+    assert list(shifted_graphs(0)) == [Graph(0)]
 
 
 def test_shifted_graphs_are_compress_fixpoints():
