@@ -9,6 +9,7 @@ construction; every mutating-looking operation returns a fresh value.
 from __future__ import annotations
 
 from collections import namedtuple
+from itertools import chain
 from typing import Iterable
 
 from .errors import (
@@ -186,18 +187,9 @@ class BipartiteGraph:
         return out
 
     def as_graph(self) -> Graph:
-        """Embed as a general graph: X keeps its labels, Y-label j becomes nx + j."""
-        n = self.nx + self.ny
-        _check_vertex_count(n)
-        rows = [0] * n
-        for a in range(self.nx):
-            rows[a] = self.biadj[a] << self.nx
-            mask = self.biadj[a]
-            while mask:
-                b = mask & -mask
-                mask ^= b
-                rows[self.nx + b.bit_length() - 1] |= 1 << a
-        return Graph(n, rows)
+        """Embed as a general graph: X keeps its labels, Y-label j becomes
+        nx + j, so the edges are (x, nx + y) for each edge (x, y)."""
+        return Graph.from_edges(self.nx + self.ny, ((x, self.nx + y) for x, y in self.edges()))
 
     def __eq__(self, other) -> bool:
         return (
@@ -218,10 +210,8 @@ class BipartiteGraph:
 # ---------------------------------------------------------------------------
 
 def complete_graph(n: int) -> Graph:
-    """K_n: all C(n, 2) edges."""
-    _check_vertex_count(n)
-    full = (1 << n) - 1
-    return Graph(n, [full ^ (1 << a) for a in range(n)])
+    """K_n: every pair a < b of 1..n, C(n, 2) edges."""
+    return Graph.from_edges(n, ((a, b) for a in range(1, n + 1) for b in range(a + 1, n + 1)))
 
 
 def empty_graph(n: int) -> Graph:
@@ -230,41 +220,31 @@ def empty_graph(n: int) -> Graph:
 
 
 def join(g1: Graph, g2: Graph) -> Graph:
-    """Disjoint union plus every cross edge; labels of g2 are offset by g1.n."""
-    n = g1.n + g2.n
-    _check_vertex_count(n)
-    ones1 = (1 << g1.n) - 1
-    ones2 = ((1 << g2.n) - 1) << g1.n
-    rows = [g1.adj[a] | ones2 for a in range(g1.n)]
-    rows += [(g2.adj[a] << g1.n) | ones1 for a in range(g2.n)]
-    return Graph(n, rows)
+    """g1's edges, g2's edges with labels offset by g1.n, and every cross
+    pair (a, b) with a in 1..g1.n and b in g1.n+1..g1.n+g2.n."""
+    n, off = g1.n + g2.n, g1.n
+    shifted = ((off + u, off + v) for u, v in g2.edges())
+    cross = ((a, b) for a in range(1, off + 1) for b in range(off + 1, n + 1))
+    return Graph.from_edges(n, chain(g1.edges(), shifted, cross))
 
 
 def extremal_graph(n: int, k: int, ell: int) -> Graph:
     """The canonical extremal family for matching number at most k.
 
     Clique on labels 1..ell plus all edges between 1..(2k+1-ell) and the
-    remaining n-ell vertices.  Requires k+1 <= ell <= 2k+1 and ell <= n.
-    Has exactly C(ell, 2) + (n-ell)(2k+1-ell) edges; its matching number is k
-    whenever n >= 2k.
+    remaining n-ell vertices: the pairs a < b of 1..n with b <= ell or
+    a <= 2k+1-ell.  Requires k+1 <= ell <= 2k+1 and ell <= n.  Has exactly
+    C(ell, 2) + (n-ell)(2k+1-ell) edges; its matching number is k whenever
+    n >= 2k.  The pairs are a lazy generator, so ``from_edges`` rejects an
+    n beyond the cap before one is made.
     """
     if not k + 1 <= ell <= 2 * k + 1:
         raise ParameterRangeError(f"need k+1 <= ell <= 2k+1, got k={k}, ell={ell}")
     if ell > n:
         raise ParameterRangeError(f"need ell <= n, got ell={ell}, n={n}")
-    _check_vertex_count(n)
     c = 2 * k + 1 - ell
-    clique = (1 << ell) - 1
-    rest = ((1 << n) - 1) ^ clique
-    rows = [0] * n
-    for a in range(ell):
-        rows[a] = clique ^ (1 << a)
-    for a in range(c):
-        rows[a] |= rest
-    low = (1 << c) - 1
-    for a in range(ell, n):
-        rows[a] = low
-    return Graph(n, rows)
+    pairs = ((a, b) for a in range(1, n + 1) for b in range(a + 1, n + 1))
+    return Graph.from_edges(n, ((a, b) for a, b in pairs if b <= ell or a <= c))
 
 
 # ---------------------------------------------------------------------------

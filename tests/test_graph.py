@@ -79,9 +79,20 @@ def test_extremal_graph_edge_count_grid():
 
 
 def test_extremal_graph_bottom_ell_equals_join():
+    # the family's second description: K_c joined to K_(ell-c) ∪ E_(n-ell), c = 2k+1-ell
     for k in range(4):
-        for n in range(k + 1, 11):
-            assert extremal_graph(n, k, k + 1) == join(complete_graph(k), empty_graph(n - k))
+        for ell in range(k + 1, 2 * k + 2):
+            c = 2 * k + 1 - ell
+            clique = (1 << (ell - c)) - 1
+            for n in range(ell, 11):
+                rest = Graph(n - c, [clique ^ 1 << a for a in range(ell - c)] + [0] * (n - ell))
+                assert extremal_graph(n, k, ell) == join(complete_graph(c), rest)
+
+
+def test_extremal_graph_capacity():
+    extremal_graph(64, 1, 2)
+    with pytest.raises(CapacityError, match="^at most 64 vertices supported, got 65$"):
+        extremal_graph(65, 1, 2)
 
 
 def test_extremal_graph_range_errors():

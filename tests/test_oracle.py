@@ -183,6 +183,15 @@ def test_verify_shifted_structure_small():
         assert check.cases > 0
 
 
+def test_verify_shifted_structure_walks_every_shifted_graph_at_nu_k():
+    # the shifted graphs with matching number k on 1..n, n >= 2k+1, are
+    # C(n, k) in number, whatever hosts they are checked against
+    for n in range(8):
+        for k in range((n - 1) // 2 + 1):
+            (check,) = verify_shifted_structure(n, k)
+            assert check.cases == comb(n, k), (n, k)
+
+
 def _without_the_widest_host(n, k, ell):  # K_2k ∪ E in place of K_(2k+1) ∪ E
     return extremal_graph(n, k, min(ell, 2 * k))
 

@@ -1,7 +1,7 @@
 """Mutation check for the oracle's comparisons, tie-breaks, grow rule,
 least-completion rule, degree-closure rules, König fill and scoring and
-random draw, the matching number's blossom pass, and the count kernel's
-closed levels.
+random draw, the matching number's blossom pass, the count kernel's closed
+levels, and the edge rules of the graph constructors.
 
 Each mutant names one exact snippet of a source file, its replacement, and
 the pytest selection that should fail once the snippet is replaced.  For
@@ -37,6 +37,7 @@ ROOT = Path(__file__).resolve().parent.parent
 ORACLE = "src/turanmatch/oracle.py"
 MATCHING = "src/turanmatch/matching.py"
 COUNTING = "src/turanmatch/counting.py"
+GRAPH = "src/turanmatch/graph.py"
 TESTS = "tests/test_oracle.py"
 MATCHING_TESTS = "tests/test_matching.py"
 TIMEOUT = 60  # seconds per selection
@@ -187,6 +188,15 @@ MUTANTS = [
      "j = rng.randrange(i + 1, n)",
      "j = n - 1",
      [f"{TESTS}::test_verify_shift_lemmas_random_draw_is_pinned"]),
+    ("extremal-clique-drops-its-last-vertex", GRAPH,
+     "b <= ell or a <= c",
+     "b < ell or a <= c",
+     ["tests/test_graph.py::test_extremal_graph_edge_count_grid"]),
+    ("join-misses-a-cross-pair", GRAPH,
+     "range(off + 1, n + 1)",
+     "range(off + 2, n + 1)",
+     ["tests/test_graph.py::test_join_small_cases",
+      "tests/test_graph.py::test_join_offsets_second_graph_labels"]),
 ]
 
 
