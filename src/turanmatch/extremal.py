@@ -33,9 +33,11 @@ class ExtremalParams:
     t: int | None = None
 
 
-def _require(cond: bool, msg: str) -> None:
+def _require(cond: bool, msg: str, *values) -> None:
+    """Raise ``ParameterRangeError(msg.format(*values))`` unless ``cond``:
+    a check that passes formats nothing."""
     if not cond:
-        raise ParameterRangeError(msg)
+        raise ParameterRangeError(msg.format(*values))
 
 
 def ex_edges(n: int, k: int) -> int:
@@ -49,7 +51,7 @@ def ex_clique(n: int, k: int, s: int) -> int:
     max(C(2k+1, s), C(k, s) + (n-k) C(k, s-1)), the counts in the end hosts
     K_{2k+1} u E_{n-2k-1} (ell = 2k+1) and K_k v E_{n-k} (ell = k+1) of
     extremal_graph.  Zero when s > 2k+1."""
-    _require(s >= 2, f"need s >= 2, got s={s}")
+    _require(s >= 2, "need s >= 2, got s={}", s)
     return max(extremal_clique_count(n, k, ell, s) for ell in (k + 1, 2 * k + 1))
 
 
@@ -58,9 +60,9 @@ def ex_star(n: int, k: int, s: int, t: int) -> int:
     <= k: max(C(2k+1, s+t) C(s+t, t), C(k, s) C(n-s, t) + (n-k) C(k, s+t-1)
     C(s+t-1, t)), the counts in K_{2k+1} u E_{n-2k-1} (ell = 2k+1) and
     K_k v E_{n-k} (ell = k+1)."""
-    _require(s >= 1, f"need s >= 1, got s={s}")
-    _require(t >= 2, f"need t >= 2, got t={t}; for t = 1 the pattern is an "
-                     f"(s+1)-clique, use ex_clique(n, k, s + 1)")
+    _require(s >= 1, "need s >= 1, got s={}", s)
+    _require(t >= 2, "need t >= 2, got t={}; for t = 1 the pattern is an "
+                     "(s+1)-clique, use ex_clique(n, k, s + 1)", t)
     return max(extremal_star_count(n, k, ell, s, t) for ell in (k + 1, 2 * k + 1))
 
 
@@ -68,9 +70,9 @@ def ex_bip(n: int, k: int, s: int, t: int) -> int:
     """Maximum number of (s, t)-biclique copies in a bipartite host with parts
     of size n and matching number <= k: C(k, s) C(n, t) + C(k, t) C(n, s), one
     term if s == t, the count in the host whose cover lies on one side (x = k)."""
-    _require(s >= 1 and t >= 1, f"need s, t >= 1, got s={s}, t={t}")
-    _require(k >= 0, f"need k >= 0, got k={k}")
-    _require(n >= k, f"need n >= k, got n={n}, k={k}")
+    _require(s >= 1 and t >= 1, "need s, t >= 1, got s={}, t={}", s, t)
+    _require(k >= 0, "need k >= 0, got k={}", k)
+    _require(n >= k, "need n >= k, got n={}, k={}", n, k)
     return (bip_split_count if s == t else bip_split_count_sym)(n, k, k, s, t)
 
 
@@ -79,16 +81,16 @@ def ex_bip(n: int, k: int, s: int, t: int) -> int:
 # ---------------------------------------------------------------------------
 
 def _require_family(n: int, k: int, ell: int) -> None:
-    _require(k >= 0, f"need k >= 0, got k={k}")
-    _require(k + 1 <= ell <= 2 * k + 1, f"need k+1 <= ell <= 2k+1, got k={k}, ell={ell}")
-    _require(n >= 2 * k + 1, f"need n >= 2k+1, got n={n}, k={k}")
+    _require(k >= 0, "need k >= 0, got k={}", k)
+    _require(k + 1 <= ell <= 2 * k + 1, "need k+1 <= ell <= 2k+1, got k={}, ell={}", k, ell)
+    _require(n >= 2 * k + 1, "need n >= 2k+1, got n={}, k={}", n, k)
 
 
 def extremal_clique_count(n: int, k: int, ell: int, s: int) -> int:
     """s-clique count of extremal_graph(n, k, ell), in closed form:
     C(ell, s) + (n - ell) * C(2k+1-ell, s-1)."""
     _require_family(n, k, ell)
-    _require(s >= 1, f"need s >= 1, got s={s}")
+    _require(s >= 1, "need s >= 1, got s={}", s)
     return binom(ell, s) + (n - ell) * binom(2 * k + 1 - ell, s - 1)
 
 
@@ -100,7 +102,7 @@ def extremal_star_terms(n: int, k: int, ell: int, s: int, t: int) -> tuple[int, 
     clique-only part.
     """
     _require_family(n, k, ell)
-    _require(s >= 1 and t >= 1, f"need s, t >= 1, got s={s}, t={t}")
+    _require(s >= 1 and t >= 1, "need s, t >= 1, got s={}, t={}", s, t)
     u0 = 2 * k + 1 - ell
     t1 = binom(u0, s) * binom(n - s, t)
     t2 = (n - ell) * binom(u0, s - 1) * binom(u0 - s + 1, t)
@@ -120,8 +122,8 @@ def bip_split_count(n: int, k: int, x: int, s: int, t: int, ny: int | None = Non
     C(x, s) C(ny, t) + C(n, s) C(k-x, t) - C(x, s) C(k-x, t)."""
     ny = n if ny is None else ny
     _require(0 <= x <= k <= min(n, ny),
-             f"need 0 <= x <= k <= min(n, ny), got x={x}, k={k}, n={n}, ny={ny}")
-    _require(s >= 1 and t >= 1, f"need s, t >= 1, got s={s}, t={t}")
+             "need 0 <= x <= k <= min(n, ny), got x={}, k={}, n={}, ny={}", x, k, n, ny)
+    _require(s >= 1 and t >= 1, "need s, t >= 1, got s={}, t={}", s, t)
     cxs = binom(x, s)
     ckt = binom(k - x, t)
     return cxs * binom(ny, t) + binom(n, s) * ckt - cxs * ckt

@@ -47,9 +47,9 @@ class Graph:
 
     __slots__ = ("n", "adj", "m")
 
-    def __init__(self, n: int, adj: Iterable[int] = ()):
+    def __init__(self, n: int, adj: Iterable[int] | None = None):
         _check_vertex_count(n)
-        rows = tuple(adj) if adj else (0,) * n
+        rows = (0,) * n if adj is None else tuple(adj)
         if len(rows) != n:
             raise ValueError(f"expected {n} adjacency rows, got {len(rows)}")
         full = (1 << n) - 1
@@ -90,6 +90,8 @@ class Graph:
                 raise ValueError(f"self-loop at vertex {u}")
             if not (1 <= u <= n and 1 <= v <= n):
                 raise ValueError(f"edge ({u}, {v}) outside labels 1..{n}")
+            if rows[u - 1] >> (v - 1) & 1:  # (v, u) after (u, v) is a repeat too
+                raise DuplicateEdgeError(f"duplicate edge ({u}, {v})")
             rows[u - 1] |= 1 << (v - 1)
             rows[v - 1] |= 1 << (u - 1)
         return cls(n, rows)
@@ -145,10 +147,10 @@ class BipartiteGraph:
 
     __slots__ = ("nx", "ny", "biadj", "m")
 
-    def __init__(self, nx: int, ny: int, biadj: Iterable[int] = ()):
+    def __init__(self, nx: int, ny: int, biadj: Iterable[int] | None = None):
         _check_vertex_count(nx)
         _check_vertex_count(ny)
-        rows = tuple(biadj) if biadj else (0,) * nx
+        rows = (0,) * nx if biadj is None else tuple(biadj)
         if len(rows) != nx:
             raise ValueError(f"expected {nx} biadjacency rows, got {len(rows)}")
         full = (1 << ny) - 1
@@ -168,6 +170,8 @@ class BipartiteGraph:
         for u, v in edges:
             if not (1 <= u <= nx and 1 <= v <= ny):
                 raise ValueError(f"edge ({u}, {v}) outside X=1..{nx}, Y=1..{ny}")
+            if rows[u - 1] >> (v - 1) & 1:
+                raise DuplicateEdgeError(f"duplicate edge ({u}, {v})")
             rows[u - 1] |= 1 << (v - 1)
         return cls(nx, ny, rows)
 

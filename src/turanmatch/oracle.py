@@ -34,6 +34,7 @@ from .matching import _bip_augment, _bip_nu, _cover_masks, _exists_matching, _mi
 from .shifting import _shift_adj, shifted_graphs
 
 MAX_ORACLE_VERTICES = 7
+MAX_SCAN_VERTICES = 8  # max_over_free's own cap
 MAX_ORACLE_BIP_SLOTS = 20
 
 
@@ -195,8 +196,8 @@ def _back_masks(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(canon)
 
 
-_BACK_MASKS = tuple(map(_back_masks, range(MAX_ORACLE_VERTICES + 1)))  # made once per n, at import
-_EDGE_SLOTS = tuple(map(_edge_slots, range(MAX_ORACLE_VERTICES + 1)))  # likewise
+_BACK_MASKS = tuple(map(_back_masks, range(MAX_SCAN_VERTICES + 1)))  # made once per n, at import
+_EDGE_SLOTS = tuple(map(_edge_slots, range(MAX_SCAN_VERTICES + 1)))  # likewise
 
 
 def _steps(backs) -> list[tuple[int, int, int]]:
@@ -423,8 +424,8 @@ def max_over_free(n: int, k: int, s: int, t: int | None = None) -> Witness:
     pairs.  The witness is the graph with the smallest edge mask among the
     maxima.
     """
-    if n > MAX_ORACLE_VERTICES:
-        raise CapacityError(f"exhaustive search capped at n <= {MAX_ORACLE_VERTICES}")
+    if n > MAX_SCAN_VERTICES:
+        raise CapacityError(f"exhaustive search capped at n <= {MAX_SCAN_VERTICES}")
     if n < 0 or k < 0 or s < 1 or (t is not None and t < 1):
         raise ValueError(f"bad arguments n={n}, k={k}, s={s}, t={t}")
     value, mask = _scan_free_max(n, k, s, 0 if t is None else t)
@@ -637,10 +638,7 @@ def _closure_hits(adj, nu, grow, u, w, tables) -> int:
     reads.  If Q keeps nu, a maximum matching of Q, or of Q less a vertex
     of D(Q), is one of the parent, so u, w and D(Q) lie in ``grow``.  If Q
     spans nu - 1 only, just the part outside ``grow`` meets a B of
-    ``miss``; and if an end x of the pair lies outside ``grow``, the other
-    end is in D(parent less x), which then holds D(Q) and, by the
-    Gallai-Edmonds structure theorem, no vertex of A, the neighbours of
-    ``grow`` outside it."""
+    ``miss``."""
     every, _, _, meets = tables
     v = len(adj)
     meet = meets[grow]
@@ -653,12 +651,7 @@ def _closure_hits(adj, nu, grow, u, w, tables) -> int:
         return miss | meet & meets[_missable(adj, rest, nu, rest & grow)]
     if not _exists_matching(adj, rest, nu - 1):
         return 0
-    side = full ^ grow
-    if (1 << u | 1 << w) & side:  # skip the A set, grow's neighbours
-        for d in range(v):
-            if grow >> d & 1:
-                side &= ~adj[d]
-    return miss & meets[_missable(adj, rest, nu - 1, rest & side)]
+    return miss & meets[_missable(adj, rest, nu - 1, rest & ~grow)]
 
 
 def _closure_tables(v: int):
@@ -692,17 +685,22 @@ def _closure_tests(adj, nu, grow, tables) -> list[tuple[int, int, int]]:
     deg = [row.bit_count() for row in adj]
     tests = []
     for u, w in combinations(range(v), 2):
-        if adj[u] >> w & 1:
-            continue
         gap = least - deg[u] - deg[w]  # how many of u, w a B missing grow must hold
-        holding = (every, contains[u] | contains[w], contains[u] & contains[w])  # at least i
-        backs = (miss & (holding[max(gap, 0)] if gap <= 2 else 0)
-                 | meet & (holding[max(gap + 2, 0)] if gap <= 0 else 0))
+        if gap > 2 or adj[u] >> w & 1:
+            continue
+        # a B meeting grow must hold gap + 2 of u and w, so above 0 only the B
+        # missing it pass; held is the B holding the count asked (gap's
+        # parity): every B for at most 0, either end for 1, both for 2
+        held = (every if gap < -1 else contains[u] | contains[w] if gap & 1
+                else contains[u] & contains[w])
+        backs = miss & held if gap > 0 else miss | meet & held
         if backs:
             tests.append((u, w, backs))
     for u in range(v):
         gap = least - deg[u]  # the size a B missing grow must reach
-        backs = (miss & (at_least[max(gap, 0)] if gap <= v else 0)
+        if gap > v:
+            continue
+        backs = (miss & at_least[max(gap, 0)]
                  | meet & (at_least[max(gap + 2, 0)] if gap + 2 <= v else 0)) & ~contains[u]
         if backs:
             tests.append((u, v, backs))

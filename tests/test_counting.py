@@ -62,6 +62,19 @@ def test_count_star_rejects_zero_sides():
         count_star(complete_graph(3), 1, 0)
 
 
+def test_count_kernels_check_their_sizes():
+    # no clique has a negative size; each side of a star or biclique needs a vertex
+    from turanmatch import star_pairs
+
+    assert count_cliques(complete_graph(3), -1) == 0
+    bg = BipartiteGraph(2, 2, [0b11, 0b11])
+    for s, t in ((0, 1), (1, 0)):
+        with pytest.raises(ValueError, match="need s >= 1 and t >= 1"):
+            next(star_pairs(complete_graph(3), s, t))
+        with pytest.raises(ValueError, match="need s >= 1 and t >= 1"):
+            count_bip(bg, s, t)
+
+
 @given(graphs(max_n=6))
 def test_count_star_t1_overcounts_cliques(g):
     # a single outside vertex makes the pattern an (s+1)-clique with a marked

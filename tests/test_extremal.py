@@ -9,12 +9,15 @@ from turanmatch import (
     bip_split_count,
     bip_split_count_sym,
     count_bip,
+    count_cliques,
+    count_star,
     endpoint_max,
     ex_bip,
     ex_clique,
     ex_edges,
     ex_star,
     extremal_clique_count,
+    extremal_graph,
     extremal_star_count,
     extremal_star_terms,
 )
@@ -149,22 +152,23 @@ def test_star_count_at_bottom_ell_matches_formula_term():
 
 
 def test_ex_star_max_arguments_are_the_endpoint_counts():
+    # the larger copy count, counted on the built end hosts ell = k+1 and 2k+1
     for k in range(5):
-        for s in range(1, 4):
-            for t in range(2, 4):
-                for n in range(2 * k + 1, 2 * k + 8):
-                    first = extremal_star_count(n, k, 2 * k + 1, s, t)
-                    second = extremal_star_count(n, k, k + 1, s, t)
-                    assert ex_star(n, k, s, t) == max(first, second)
+        for n in range(2 * k + 1, 2 * k + 8):
+            hosts = [extremal_graph(n, k, ell) for ell in (k + 1, 2 * k + 1)]
+            for s in range(1, 4):
+                for t in range(2, 4):
+                    expected = max(count_star(g, s, t) for g in hosts)
+                    assert ex_star(n, k, s, t) == expected, (n, k, s, t)
 
 
 def test_ex_clique_max_arguments_are_the_endpoint_counts():
     for k in range(5):
-        for s in range(2, 5):
-            for n in range(2 * k + 1, 2 * k + 8):
-                first = extremal_clique_count(n, k, 2 * k + 1, s)
-                second = extremal_clique_count(n, k, k + 1, s)
-                assert ex_clique(n, k, s) == max(first, second)
+        for n in range(2 * k + 1, 2 * k + 8):
+            hosts = [extremal_graph(n, k, ell) for ell in (k + 1, 2 * k + 1)]
+            for s in range(2, 5):
+                expected = max(count_cliques(g, s) for g in hosts)
+                assert ex_clique(n, k, s) == expected, (n, k, s)
 
 
 def test_bip_split_boundaries():
@@ -204,14 +208,14 @@ def test_bip_split_count_unequal_parts_matches_saturated_host():
 
 
 def test_ex_bip_equals_endpoint_split_count():
+    # the biclique count of the built host whose cover is k vertices of X:
+    # those see all of Y, the other X-vertices nothing
     for n in range(1, 9):
         for k in range(n + 1):
+            host = BipartiteGraph(n, n, [(1 << n) - 1] * k + [0] * (n - k))
             for s in range(1, 4):
                 for t in range(1, 4):
-                    if s == t:
-                        assert ex_bip(n, k, s, s) == bip_split_count(n, k, k, s, s)
-                    else:
-                        assert ex_bip(n, k, s, t) == bip_split_count_sym(n, k, k, s, t)
+                    assert ex_bip(n, k, s, t) == count_bip(host, s, t), (n, k, s, t)
 
 
 def test_endpoint_max_examples():

@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -128,6 +130,58 @@ def test_graph_rejects_asymmetry_and_loops():
     for text in ("2 2 1\n3 1", "2 2 1\n1 3", "2 2 1\n0 1"):
         with pytest.raises(LabelRangeError):
             parse_bipartite(text)
+
+
+def test_from_edges_rejects_a_repeated_edge():
+    # an edge list is checked like a file's, not merged: a Graph edge listed
+    # twice, in either order, is a duplicate, and so is a repeated biadjacency
+    for edges in ([(1, 2), (1, 2)], [(1, 2), (2, 3), (2, 1)]):
+        with pytest.raises(DuplicateEdgeError):
+            Graph.from_edges(3, edges)
+    with pytest.raises(DuplicateEdgeError):
+        BipartiteGraph.from_edges(2, 2, [(1, 1), (2, 1), (1, 1)])
+    assert Graph.from_edges(3, [(2, 1), (2, 3)]).m == 2
+    assert BipartiteGraph.from_edges(2, 2, [(1, 2), (2, 1)]).m == 2
+
+
+def test_only_omitted_rows_mean_no_edges():
+    # an empty row list is a list of 0 rows, not "no rows given"
+    assert Graph(3) == empty_graph(3) and Graph(0, []) == Graph(0)
+    assert BipartiteGraph(2, 3).m == 0 and BipartiteGraph(0, 3, []) == BipartiteGraph(0, 3)
+    with pytest.raises(ValueError, match="expected 3 adjacency rows, got 0"):
+        Graph(3, [])
+    for rows in ([], [0b1], [0, 0, 0]):
+        with pytest.raises(ValueError, match=f"expected 2 biadjacency rows, got {len(rows)}"):
+            BipartiteGraph(2, 3, rows)
+
+
+def test_graph_queries_check_their_labels():
+    g = Graph.from_edges(3, [(1, 2)])
+    for u, v in ((0, 1), (1, 4), (4, 1)):
+        with pytest.raises(ValueError, match=r"outside 1\.\.3"):
+            g.has_edge(u, v)
+    for u in (0, 4):
+        with pytest.raises(ValueError, match=r"outside 1\.\.3"):
+            g.degree(u)
+    with pytest.raises(ValueError, match="self-loop at vertex 2"):
+        g.add_edge(2, 2)
+    bg = BipartiteGraph.from_edges(2, 3, [(1, 3)])
+    for u, v in ((0, 1), (3, 1), (1, 0), (1, 4)):
+        with pytest.raises(ValueError, match=r"outside X=1\.\.2, Y=1\.\.3"):
+            bg.has_edge(u, v)
+
+
+def test_parse_rejects_a_number_past_the_digit_limit():
+    # int() refuses a decimal string longer than the interpreter's limit
+    # (4,300 digits by default), so such a header is a malformed line
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        pytest.skip("this interpreter has no integer-string digit limit")
+    huge = "1" * (limit + 1)
+    with pytest.raises(MalformedLineError, match="line 1"):
+        parse_graph(f"{huge} 0")
+    with pytest.raises(MalformedLineError, match="line 1"):
+        parse_bipartite(f"1 {huge} 0")
 
 
 def test_edge_type_orders_endpoints():

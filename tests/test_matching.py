@@ -292,6 +292,9 @@ def test_bondy_chvatal_examples():
     assert bondy_chvatal_holds(empty_graph(4), 1, 2, 0)
     with pytest.raises(ValueError):
         bondy_chvatal_holds(complete_graph(3), 1, 2, 1)
+    for u, v in ((2, 2), (0, 1), (1, 4)):  # a loop, or a label outside 1..n
+        with pytest.raises(ValueError, match="invalid for n=3"):
+            bondy_chvatal_holds(empty_graph(3), u, v, 0)
 
 
 def test_bondy_chvatal_exhaustive_small():

@@ -31,6 +31,7 @@ from turanmatch import (
     count_star,
     ex_bip,
     ex_clique,
+    ex_star,
     extremal_graph,
     iter_free_graphs,
     matching_number,
@@ -80,7 +81,7 @@ def test_max_over_free_on_no_vertices():
 
 def test_max_over_free_capacity_and_arguments():
     with pytest.raises(CapacityError):
-        max_over_free(8, 1, 2)
+        max_over_free(9, 1, 2)
     with pytest.raises(ValueError):
         max_over_free(5, 1, 0)
     with pytest.raises(ValueError):
@@ -98,6 +99,26 @@ def test_max_over_free_bip_spot_values():
 def test_max_over_free_bip_capacity_and_jobs():
     with pytest.raises(CapacityError):
         max_over_free_bip(5, 5, 2, 1, 1)
+
+
+def test_scans_and_law_checks_reject_their_bad_arguments():
+    for args in ((-1, 2, 1, 1, 1), (2, -1, 1, 1, 1), (2, 2, -1, 1, 1),
+                 (2, 2, 1, 0, 1), (2, 2, 1, 1, 0)):
+        with pytest.raises(ValueError, match="bad arguments"):
+            max_over_free_bip(*args)
+    with pytest.raises(ValueError, match="need n >= 0"):
+        verify_shift_lemmas(-1)
+    with pytest.raises(ValueError, match="need k >= 0"):
+        verify_shifted_structure(5, -1)
+    with pytest.raises(CapacityError):
+        verify_bondy_chvatal(oracle.MAX_ORACLE_VERTICES + 1)
+    with pytest.raises(ValueError, match="need n >= 0"):
+        verify_bondy_chvatal(-1)
+    with pytest.raises(CapacityError):
+        verify_koenig_gstar(3, 7, 1)
+    for args in ((-1, 2, 1), (2, -1, 1), (2, 2, -1)):
+        with pytest.raises(ValueError, match="need nx, ny, k >= 0"):
+            verify_koenig_gstar(*args)
 
 
 def test_verify_shift_lemmas_exhaustive():
@@ -278,9 +299,22 @@ def test_clique_agreement_seven_vertices():
             assert max_over_free(7, k, s).value == ex_clique(7, k, s), (k, s)
 
 
-def test_star_agreement_grid():
-    from turanmatch import ex_star
+def test_eight_vertex_scans_agree_with_the_closed_forms():
+    # the scan cap: each maximum is its closed form, and its witness
+    # recounts to it with matching number at most k (about 2 s; (8, 3, 2)
+    # takes half of it)
+    for k in (1, 2, 3):
+        for s, t in ((2, None), (3, None), (4, None), (1, 2), (2, 2), (1, 3), (2, 3)):
+            w = max_over_free(8, k, s, t)
+            if t is None:
+                expected, recount = ex_clique(8, k, s), count_cliques(w.graph, s)
+            else:
+                expected, recount = ex_star(8, k, s, t), count_star(w.graph, s, t)
+            assert w.value == expected == recount, (k, s, t)
+            assert w.graph.n == 8 and matching_number(w.graph) <= k, (k, s, t)
 
+
+def test_star_agreement_grid():
     for n in (5, 6):
         for k in (1, 2):
             if n < 2 * k + 1:
@@ -550,7 +584,7 @@ def test_degree_closure_counts_matchings_once_per_parent_vertex(counted):
     probes = _probes(counted)
     (check,) = verify_bondy_chvatal(6)
     assert (check.cases, check.violations) == (245_760, ())
-    # 952: 652 grow probes and 300 D(Q) probes; 5,405 grow probes = v per
+    # 1,132: 652 grow probes and 480 D(Q) probes; 5,405 grow probes = v per
     # parent on v < 6 vertices; 32,768 one per graph
     assert probes[0] <= 6_000
 
@@ -593,6 +627,16 @@ def test_closure_tests_are_the_degree_tests_of_each_back_row(g):
             if not child[u] >> w & 1 and child[u].bit_count() + child[w].bit_count() >= 2 * k + 1:
                 expected.add((back, u, w))
     assert got == expected
+
+
+def test_closure_tests_keep_a_pair_two_degrees_short():
+    # on the path 3-1-4-2 (nu = 2, a perfect matching, so grow is empty) the
+    # pair (1, 2) has degrees 2 + 1, two short of 2nu + 1: it passes on
+    # exactly the back-rows holding both its ends
+    g = Graph.from_edges(4, [(1, 3), (1, 4), (2, 4)])
+    tests = oracle._closure_tests(list(g.adj), 2, 0, oracle._closure_tables(4))
+    backs = {(u, w): b for u, w, b in tests}
+    assert backs[0, 1] == sum(1 << b for b in range(16) if b & 0b11 == 0b11)
 
 
 def _selective(parent, u, w, back):
@@ -831,7 +875,7 @@ def test_koenig_check_carries_its_matching_down_the_rows(counted):
 def test_degree_closure_inherits_the_parents_grow(counted):
     probes = _probes(counted)
     assert verify_bondy_chvatal(6)[0].cases == 245_760
-    assert probes[0] <= 4_800  # 652 grow + 300 D(Q); 5,405 grow probes with grow afresh at every node
+    assert probes[0] <= 4_800  # 652 grow + 480 D(Q); 5,405 grow probes with grow afresh at every node
 
 
 def test_tied_tasks_stop_at_the_empty_completion(counted):
@@ -978,9 +1022,9 @@ def test_unbounded_scans_gain_once_per_edge_of_the_complete_graph(counted):
 def test_grow_tables_cut_the_probes(counted):
     probes = _probes(counted)
     assert verify_bondy_chvatal(6)[0].cases == 245_760
-    # 652 grow probes and 300 D(Q) probes; 3,699 grow probes probing each
-    # child after it is built, 480 D(Q) probes reading the A set too
-    assert probes[0] <= 1_000
+    # 1,132: 652 grow probes and 480 D(Q) probes; 4,179 with 3,699 grow
+    # probes probing each child after it is built
+    assert probes[0] <= 1_200
     probes[0] = 0
     assert max_over_free(7, 2, 2).value == 11
     assert probes[0] <= 5_000  # 2,924; 8,225 probing each child after it is built
@@ -992,7 +1036,7 @@ def test_grown_children_search_only_the_parents_grow(counted):
     assert probes[0] <= 9_000  # 2,924; 10,527 searching every vertex of a child whose nu grew
     probes[0] = 0
     assert verify_bondy_chvatal(6)[0].cases == 245_760
-    # 652 grow + 300 D(Q); 4,528 grow probes searching every vertex of a child whose nu grew
+    # 652 grow + 480 D(Q); 4,528 grow probes searching every vertex of a child whose nu grew
     assert probes[0] <= 4_000
 
 
@@ -1011,8 +1055,8 @@ def test_a_grown_childs_grow_lies_inside_its_parents(g, data):
 
 
 def test_back_masks_set_the_slot_of_each_back_edge():
-    # the scans read the tables made at import, one per n up to the cap
-    assert len(oracle._BACK_MASKS) == oracle.MAX_ORACLE_VERTICES + 1
+    # the scans read the tables made at import, one per n up to the scan cap
+    assert len(oracle._BACK_MASKS) == len(oracle._EDGE_SLOTS) == oracle.MAX_SCAN_VERTICES + 1
     for n, canon in enumerate(oracle._BACK_MASKS):
         slots = oracle._edge_slots(n)
         assert isinstance(canon, tuple) and all(isinstance(table, tuple) for table in canon)

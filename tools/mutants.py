@@ -1,7 +1,8 @@
 """Mutation check for the oracle's comparisons, tie-breaks, grow rule,
-least-completion rule, degree-closure rules, König fill and scoring and
-random draw, the matching number's blossom pass, the count kernel's closed
-levels, and the edge rules of the graph constructors.
+least-completion rule, degree-closure rules, scan cap, König fill and
+scoring and random draw, the matching number's blossom pass, the count
+kernel's closed levels, the edge rules of the graph constructors and the
+edge lists' repeat check.
 
 Each mutant names one exact snippet of a source file, its replacement, and
 the pytest selection that should fail once the snippet is replaced.  For
@@ -101,10 +102,11 @@ MUTANTS = [
      "total += (cand & adj[b.bit_length() - 1]).bit_count()",
      "total += (cand & common & adj[b.bit_length() - 1]).bit_count()",
      ["tests/test_counting.py::test_clique_sum_reads_common_apart_from_cand"]),
-    ("closure-gap-unclamped", ORACLE,
-     "meet & (holding[max(gap + 2, 0)] if gap <= 0 else 0)",
-     "meet & (holding[gap + 2] if -2 <= gap <= 0 else 0)",
-     [f"{TESTS}::test_closure_tests_are_the_degree_tests_of_each_back_row"]),
+    ("closure-skips-pairs-two-short", ORACLE,
+     "if gap > 2 or adj[u] >> w & 1:",
+     "if gap > 1 or adj[u] >> w & 1:",
+     [f"{TESTS}::test_closure_tests_keep_a_pair_two_degrees_short",
+      f"{TESTS}::test_closure_tests_are_the_degree_tests_of_each_back_row"]),
     ("closure-pair-with-v-ignores-grow", ORACLE,
      "return miss if grow >> u & 1 else 0",
      "return miss",
@@ -114,13 +116,13 @@ MUTANTS = [
      "return miss",
      [f"{TESTS}::test_closure_hits_are_each_childs_search"]),
     ("closure-second-probe-keeps-nu", ORACLE,
-     "_missable(adj, rest, nu - 1, rest & side)",
-     "_missable(adj, rest, nu, rest & side)",
+     "_missable(adj, rest, nu - 1, rest & ~grow)",
+     "_missable(adj, rest, nu, rest & ~grow)",
      [f"{TESTS}::test_closure_hits_are_each_childs_search"]),
-    ("closure-probe-keeps-the-a-set", ORACLE,
-     "side &= ~adj[d]",
-     "side &= ~adj[d] | full",
-     [f"{TESTS}::test_grow_tables_cut_the_probes"]),
+    ("scan-keeps-the-shared-cap", ORACLE,
+     "if n > MAX_SCAN_VERTICES:",
+     "if n > MAX_ORACLE_VERTICES:",
+     [f"{TESTS}::test_eight_vertex_scans_agree_with_the_closed_forms"]),
     ("handed-grow-keeps-empty-cuts", ORACLE,
      "if back & missed:",
      "if back & missed or not missed:",
@@ -197,6 +199,10 @@ MUTANTS = [
      "range(off + 2, n + 1)",
      ["tests/test_graph.py::test_join_small_cases",
       "tests/test_graph.py::test_join_offsets_second_graph_labels"]),
+    ("edge-list-merges-a-reversed-repeat", GRAPH,
+     "if rows[u - 1] >> (v - 1) & 1:  # (v, u) after (u, v) is a repeat too",
+     "if u < v and rows[u - 1] >> (v - 1) & 1:",
+     ["tests/test_graph.py::test_from_edges_rejects_a_repeated_edge"]),
 ]
 
 
