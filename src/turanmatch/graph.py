@@ -107,14 +107,17 @@ class Graph:
         return self.adj[u - 1].bit_count()
 
     def edges(self) -> list[Edge]:
-        """All edges sorted by (u, v)."""
+        """All edges sorted by (u, v).  Each row's bits above its own
+        vertex give 1 <= u < v, so each ``Edge`` is made without
+        ``Edge.__new__``'s check, as ``_trusted`` skips ``__init__``."""
         out = []
+        new = tuple.__new__
         for a in range(self.n):
             mask = self.adj[a] >> (a + 1) << (a + 1)
             while mask:
                 b = mask & -mask
                 mask ^= b
-                out.append(Edge(a + 1, b.bit_length()))
+                out.append(new(Edge, (a + 1, b.bit_length())))
         return out
 
     def add_edge(self, u: int, v: int) -> "Graph":

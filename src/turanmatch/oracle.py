@@ -26,7 +26,7 @@ from functools import partial
 from itertools import combinations, combinations_with_replacement
 from math import comb
 
-from .counting import _bip_sum, _clique_gain, _clique_sum, _clique_top_sum
+from .counting import _bip_sum, _clique_gain, _clique_gain_any, _clique_sum, _clique_top_sum
 from .errors import CapacityError, ParameterRangeError
 from .extremal import ExtremalParams, bip_split_count, bip_split_count_sym
 from .graph import BipartiteGraph, Graph, _check_vertex_count, extremal_graph
@@ -266,11 +266,12 @@ def _path_gain(adj, back, s, t, joined=0) -> int:
 def _least_free_edges(rows, v, s, t) -> int:
     """The edge mask, in the slot order of len(rows) vertices, of the free
     edges of ``rows`` (those at v or a later vertex) that some copy uses:
-    each one whose ``_clique_gain`` is nonzero.  Copies never fall when
-    edges are added, so a subgraph over the free edges keeps the count of
-    ``rows`` exactly when it keeps every edge some copy uses, and these
-    edges with the others of ``rows`` form the least such subgraph, inside
-    every other and so the one with the smallest mask."""
+    each one whose ``_clique_gain`` is nonzero, tested by
+    ``_clique_gain_any``, which stops at the first copy.  Copies never
+    fall when edges are added, so a subgraph over the free edges keeps the
+    count of ``rows`` exactly when it keeps every edge some copy uses, and
+    these edges with the others of ``rows`` form the least such subgraph,
+    inside every other and so the one with the smallest mask."""
     canon = _BACK_MASKS[len(rows)]
     kept = 0
     for z in range(v, len(rows)):
@@ -278,7 +279,7 @@ def _least_free_edges(rows, v, s, t) -> int:
         while back:
             low = back & -back
             back ^= low
-            if _clique_gain(rows, rows[low.bit_length() - 1] ^ 1 << z, rows[z] ^ low, s, t):
+            if _clique_gain_any(rows, rows[low.bit_length() - 1] ^ 1 << z, rows[z] ^ low, s, t):
                 kept |= canon[z][low]
     return kept
 

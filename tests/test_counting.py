@@ -27,7 +27,14 @@ from turanmatch import (
     extremal_graph,
     extremal_star_count,
 )
-from turanmatch.counting import _bip_sum, _clique_gain, _clique_sum, _clique_top_sum
+from turanmatch.counting import (
+    _bip_sum,
+    _clique_any,
+    _clique_gain,
+    _clique_gain_any,
+    _clique_sum,
+    _clique_top_sum,
+)
 
 
 def _complete_bip(nx, ny):
@@ -176,6 +183,30 @@ def test_clique_gain_equals_recount_difference(g, data):
     diff = _clique_top_sum(h.adj, s, t) - _clique_top_sum(g.adj, s, t)
     assert _clique_gain(g.adj, g.adj[u], g.adj[v], s, t) == diff
     assert _clique_gain(g.adj, g.adj[v], g.adj[u], s, t) == diff
+
+
+@given(graphs(min_n=2, max_n=7), st.data())
+def test_clique_gain_any_is_whether_the_gain_is_nonzero(g, data):
+    # the least-completion rule keeps a free edge when some copy uses it:
+    # the existence test must agree with the full gain's sign
+    non_edges = [(u, v) for u in range(g.n) for v in range(u + 1, g.n) if not g.adj[u] >> v & 1]
+    assume(non_edges)
+    u, v = data.draw(st.sampled_from(non_edges))
+    s = data.draw(st.integers(1, 5))
+    t = data.draw(st.integers(0, 3))
+    for ru, rv in ((g.adj[u], g.adj[v]), (g.adj[v], g.adj[u])):
+        assert _clique_gain_any(g.adj, ru, rv, s, t) == (_clique_gain(g.adj, ru, rv, s, t) > 0)
+
+
+@given(graphs(min_n=1, max_n=7), st.integers(0, 127), st.integers(0, 127),
+       st.integers(-1, 4), st.integers(-1, 3))
+@example(complete_graph(3), 0b011, 0b100, 2, 1)  # the one K = {1, 2} has 3 in common
+@example(complete_graph(3), 0b011, 0b100, 2, 2)  # and only 3
+def test_clique_any_is_whether_the_sum_is_nonzero(g, cand, common, s, t):
+    full = (1 << g.n) - 1
+    cand &= full
+    common &= full
+    assert _clique_any(g.adj, cand, common, s, t) == (_clique_sum(g.adj, cand, common, s, t) > 0)
 
 
 @given(graphs(min_n=1, max_n=9), st.data())

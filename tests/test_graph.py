@@ -1,7 +1,7 @@
 import sys
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from helpers import all_graphs, bip_graphs, graphs
@@ -190,6 +190,18 @@ def test_edge_type_orders_endpoints():
         Edge(2, 2)
     with pytest.raises(ValueError):
         Edge(0, 3)
+
+
+@given(graphs(min_n=0, max_n=64))
+@example(empty_graph(0))
+@example(complete_graph(64))
+def test_edges_are_checked_edges_in_order(g):
+    # edges() makes each Edge without Edge.__new__'s check; each must equal
+    # the checked Edge(u, v), listed by (u, v)
+    expected = [Edge(u, v) for u in range(1, g.n + 1) for v in range(u + 1, g.n + 1) if g.has_edge(u, v)]
+    got = g.edges()
+    assert got == expected
+    assert all(type(e) is Edge for e in got)
 
 
 def test_add_edge_returns_new_graph():

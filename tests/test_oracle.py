@@ -542,9 +542,10 @@ def test_vertex_scan_tests_matchings_once_per_parent_vertex(counted):
 
 
 def test_last_vertex_bound_skips_most_leaf_tables(counted):
-    calls = counted("_clique_gain")
+    # counts the least-completion rule's per-edge tests, one per edge of K_6
+    calls = counted("_clique_gain_any")
     assert max_over_free(6, 5, 2).value == 15
-    assert calls[0] < 12_000  # 32,767 when every parent builds its 2^5 table
+    assert calls[0] < 12_000  # 15; 32,767 edge gains when every parent builds its 2^5 table
 
 
 def test_last_vertex_bound_comes_before_the_matching_tests(counted):
@@ -554,9 +555,10 @@ def test_last_vertex_bound_comes_before_the_matching_tests(counted):
 
 
 def test_completion_bound_prunes_above_the_last_vertex(counted):
-    calls = counted("_clique_gain")
+    # counts the least-completion rule's per-edge tests, one per edge of K_7
+    calls = counted("_clique_gain_any")
     assert max_over_free(7, 3, 3).value == 35
-    assert calls[0] < 1_000  # 27; 234,982 when only the last vertex is bounded
+    assert calls[0] < 1_000  # 21; 234,982 edge gains when only the last vertex is bounded
 
 
 def test_loose_bound_skipped_when_it_cannot_prune(counted):
@@ -699,7 +701,9 @@ def test_closure_hits_are_each_childs_search():
 
 
 @given(graphs(min_n=6, max_n=6))
-@example(Graph.from_edges(6, [(1, 5), (2, 6), (3, 6)]))  # pair (1, 2) probes D(Q) beside A = {6}
+# pair (1, 2): Q, the parent less 1 and 2, spans only nu - 1, and its D(Q)
+# holds 5, outside grow, where 1's partner is left bare
+@example(Graph.from_edges(6, [(1, 5), (2, 6), (3, 6)]))
 def test_closure_hits_are_each_childs_search_on_six_vertex_parents(g):
     nu = _nu(g.adj)
     _assert_closure_hits(g.adj, nu, ref_grow(g.adj, nu))
@@ -907,9 +911,9 @@ def test_every_parent_tabulates_so_ties_stop_at_once(counted):
 
 def test_unbounded_scans_walk_no_level_and_build_no_table(counted):
     # where no graph can exceed k the root's subtree is the whole scan, and
-    # the least-completion rule resolves it from K_n: one gain per edge, no
-    # table and no chain
-    gains = counted("_clique_gain")
+    # the least-completion rule resolves it from K_n: one existence test
+    # per edge, no table and no chain
+    gains = counted("_clique_gain_any")
     steps = counted("_steps")
     assert max_over_free(6, 5, 2, 3).value == 60
     assert gains[0] <= 15 and steps[0] == 0  # 15 and 0; 20 walking the widest child, 83 and 6 tabulating
@@ -1009,8 +1013,8 @@ def test_widest_child_inherits_its_parents_entry(g, data):
 
 def test_unbounded_scans_gain_once_per_edge_of_the_complete_graph(counted):
     # a scan in which no graph can exceed k is one rule at the root: one
-    # edge gain per edge of K_n, whatever the pattern
-    gains = counted("_clique_gain")
+    # existence test per edge of K_n, whatever the pattern
+    gains = counted("_clique_gain_any")
     for n in range(2, 8):
         for k in (n // 2, n):
             for s, t in ((2, None), (3, None), (1, 2), (2, 3), (n + 1, None)):

@@ -1,8 +1,9 @@
 """Mutation check for the oracle's comparisons, tie-breaks, grow rule,
 least-completion rule, degree-closure rules, scan cap, König fill and
 scoring and random draw, the matching number's blossom pass, the count
-kernel's closed levels, the edge rules of the graph constructors and the
-edge lists' repeat check.
+kernel's closed levels, the existence kernel's threshold and early
+return, the edge rules of the graph constructors and the edge lists'
+repeat check.
 
 Each mutant names one exact snippet of a source file, its replacement, and
 the pytest selection that should fail once the snippet is replaced.  For
@@ -85,8 +86,8 @@ MUTANTS = [
      "if top <= best_value or (top == best_value and mask >= best_mask):",
      [f"{TESTS}::test_max_over_free_matches_leaf_recount_reference"]),
     ("least-completion-clears-used-edges", ORACLE,
-     "if _clique_gain(rows, rows[low.bit_length() - 1] ^ 1 << z, rows[z] ^ low, s, t):",
-     "if _clique_gain(rows, rows[low.bit_length() - 1] ^ 1 << z, rows[z] ^ low, s, t) > 1:",
+     "if _clique_gain_any(rows, rows[low.bit_length() - 1] ^ 1 << z, rows[z] ^ low, s, t):",
+     "if _clique_gain_any(rows, rows[low.bit_length() - 1] ^ 1 << z, rows[z] ^ low, s + 1, t):",
      [f"{TESTS}::test_least_free_edges_lie_inside_every_subgraph_keeping_the_count",
       f"{TESTS}::test_max_over_free_matches_leaf_recount_reference"]),
     ("least-completion-frees-from-past-v", ORACLE,
@@ -94,6 +95,18 @@ MUTANTS = [
      "for z in range(v + 1, len(rows)):",
      [f"{TESTS}::test_least_free_edges_lie_inside_every_subgraph_keeping_the_count",
       f"{TESTS}::test_max_over_free_matches_leaf_recount_reference"]),
+    ("existence-threshold-drops-ties", COUNTING,
+     "if (common & row).bit_count() >= t:",
+     "if (common & row).bit_count() > t:",
+     ["tests/test_counting.py::test_clique_any_is_whether_the_sum_is_nonzero",
+      "tests/test_counting.py::test_clique_gain_any_is_whether_the_gain_is_nonzero"]),
+    ("existence-misses-a-deeper-hit", COUNTING,
+     "elif _clique_any(adj, cand & row, common & row, s - 1, t):\n"
+     "            return True",
+     "elif _clique_any(adj, cand & row, common & row, s - 1, t):\n"
+     "            pass",
+     ["tests/test_counting.py::test_clique_any_is_whether_the_sum_is_nonzero",
+      "tests/test_counting.py::test_clique_gain_any_is_whether_the_gain_is_nonzero"]),
     ("clique-level-one-miscounts", COUNTING,
      "return cand.bit_count()",
      "return cand.bit_count() + 1",
