@@ -26,7 +26,7 @@ from functools import partial
 from itertools import combinations, combinations_with_replacement
 from math import comb
 
-from .counting import _bip_sum, _clique_gain, _clique_gain_any, _clique_sum, _clique_top_sum
+from .counting import _bip_sum, _clique_gain, _clique_gain_any, _clique_top_sum
 from .errors import CapacityError, ParameterRangeError
 from .extremal import ExtremalParams, bip_split_count, bip_split_count_sym
 from .graph import BipartiteGraph, Graph, _check_vertex_count, extremal_graph
@@ -249,12 +249,12 @@ def _completion(adj, n, reach, s, t, memo) -> tuple[list[int], int]:
     return memo[reach]
 
 
-def _path_gain(adj, back, s, t, joined=0) -> int:
+def _path_gain(adj, back, s, t, joined) -> int:
     """The copies through a vertex v gained as v, its other neighbours
     ``joined``, takes the back-row ``back`` one edge at a time: the path of
     ``_chain`` to ``back``, one edge gain per vertex of it.  The other rows
-    are read off ``adj``, the parent rows (v = len(adj)) or the rows of a
-    completion (``_completion_rows``), whose row v is ``joined``."""
+    are read off ``adj``, the rows of a completion (``_completion_rows``),
+    whose row v is ``joined``."""
     total = 0
     while back:
         low = back & -back
@@ -288,16 +288,14 @@ def _scan_free_max(n, k, s, t):
     """Best (value, mask) over free graphs on n vertices; the scan's rules.
 
     Each vertex v is one DFS level that picks v's back-row B, the
-    neighbours of v below it.  The pattern count is carried down: over the
-    back-rows of one parent it grows as val[B] = val[B - w] + (copies
-    through the edge vw), read off the parent graph (``_chain``).  The
-    allowed back-rows and their ``_steps`` come from one dict per scan,
-    filled when each allowed set is first met: building all 2^(n-1) sets up
-    front costs more than a small scan's walk.  A graph's mask is the OR of
-    the import-time ``_BACK_MASKS`` entries along its path, its edge mask in
-    the lexicographic slot order, so the smallest-mask witness is the
-    edge-slot order's whatever the visit order.  Children go widest
-    back-row first, so a near-best graph sets the best early.
+    neighbours of v below it.  The allowed back-rows and their ``_steps``
+    come from one dict per scan, filled when each allowed set is first met:
+    building all 2^(n-1) sets up front costs more than a small scan's walk.
+    A graph's mask is the OR of the import-time ``_BACK_MASKS`` entries
+    along its path, its edge mask in the lexicographic slot order, so the
+    smallest-mask witness is the edge-slot order's whatever the visit
+    order.  Children go widest back-row first, so a near-best graph sets
+    the best early.
 
     The matching bound.  nu <= k is hereditary for induced subgraphs, so it
     prunes at every vertex: a back-row raises the matching number exactly
@@ -312,13 +310,10 @@ def _scan_free_max(n, k, s, t):
     every leaf below keeps the child's mask bits, so a child is skipped
     before its rows are built when the count of its widest completion is
     below the best, or equal to it with a mask no smaller than the best's.
-    When it equals the child's own count, later vertices isolated, that
-    empty completion is a best leaf of the subtree with its smallest mask,
-    and it is recorded in the subtree's place.  Each such count starts from
-    ``_completion``: the parent's rows, v taking no back-row yet, with each
-    later vertex joined to a set ``reach``, counted once per parent and
-    ``reach`` in the parent's ``memo``; v's back-row then adds its edge
-    gains.
+    Each such count starts from ``_completion``: the parent's rows, v
+    taking no back-row yet, with each later vertex joined to a set
+    ``reach``, counted once per parent and ``reach`` in the parent's
+    ``memo``; v's back-row then adds its edge gains.
     - Each parent walked, one where some completion can exceed k,
       tabulates those counts for all its children, one ``_chain`` over its
       allowed back-rows.  Below a graph at nu = k, ``grow`` only gains
@@ -328,15 +323,13 @@ def _scan_free_max(n, k, s, t):
       nu = k, and the table's ``reach`` is the parent's allowed set;
       elsewhere it is every vertex (-1), each later vertex joined to all
       others.
-    - A child that survives its entry with nu = k, two or more levels
-      above the last vertex, is bounded again by its own widest
-      completion, whose ``reach`` is the child's vertices outside its own
-      ``grow``: a subgraph of the completion its entry counted, so it takes
-      the smaller count, the parent's count at that ``reach`` plus one path
-      of edge gains (``_path_gain``).  A child whose ``grow`` gained only v
-      reaches the parent's allowed set, the count its table started from.
-      At the level above the last vertex the children keep the table's
-      entries.
+    - A child that survives its entry with nu = k is bounded again by its
+      own widest completion, whose ``reach`` is the child's vertices
+      outside its own ``grow``: a subgraph of the completion its entry
+      counted, so it takes the smaller count, the parent's count at that
+      ``reach`` plus one path of edge gains (``_path_gain``).  A child
+      whose ``grow`` gained only v reaches the parent's allowed set, the
+      count its table started from.
     - A subtree where no graph can exceed k is resolved without a walk:
       the subtree below a parent where no completion can exceed k
       (k >= nu + n - v or k >= n // 2), and the one below any parent of the
@@ -349,30 +342,30 @@ def _scan_free_max(n, k, s, t):
       uses: the completion less each free edge whose gain is 0
       (``_least_free_edges``) lies inside every best of the subtree, so it
       has the smallest mask, whatever order the edges are cleared in.  The
-      count is the parent's entry ``top``, exact there: above the last
+      count is the parent's entry ``top``, exact there.  Above the last
       vertex such a parent has nu < k (nu <= v // 2 < n // 2), so ``top``
       is the root's (K_n) or an entry of a table at ``reach`` -1.  At the
-      last vertex it is the parent's count plus the copies v adds on the
-      back-row ``allowed``: ``base`` and one path of gains.  A subtree
-      whose count is below the best, or equal to it with the parent's mask
-      no smaller than the best's, returns before its gains.
+      last vertex v = n - 1, a parent with nu < k has every back-row
+      allowed, and its entry, at ``reach`` -1 (its own parent has nu < k)
+      or the root's, joins v to all others; a parent at nu = k took its own
+      bound, which joins v to its vertices outside ``grow``, its allowed
+      set.  A subtree whose count is below the best, or equal to it with
+      the parent's mask no smaller than the best's, returns before its
+      gains.
     """
     if not n:
         return 0, 0
     canon = _BACK_MASKS[n]
     subsets = {}  # allowed back-row set -> (its subsets ascending, their _steps), filled when met
-    base = _clique_sum([], 0, 0, s - 1, t)  # copies on v alone, before its edges
     best_value = -1
     best_mask = 0
 
-    def rec(adj: list[int], nu: int, grow: int, value: int, mask: int, top: int) -> None:
+    def rec(adj: list[int], nu: int, grow: int, mask: int, top: int) -> None:
         nonlocal best_value, best_mask
         v = len(adj)
         below = (1 << v) - 1
         allowed = below & ~grow if nu == k else below  # the back-rows keeping nu <= k
         if v == n - 1 or k >= min(nu + n - v, n // 2):  # no graph below exceeds k
-            if v == n - 1:
-                top = value + base + _path_gain(adj, allowed, s, t)  # v joined to all it may
             if top < best_value or (top == best_value and mask >= best_mask):
                 return
             free = ((1 << n) - 1) ^ below  # v and the later vertices, joined to allowed and each other
@@ -390,12 +383,10 @@ def _scan_free_max(n, k, s, t):
             subsets[allowed] = backs, _steps(backs)
         backs, steps = subsets[allowed]
         memo = {}  # this parent's completions by reach, with their counts (_completion)
-        vals = _chain(adj, steps, base, 0, s, t)
         rows, entry = _completion(adj, n, allowed if nu == k else -1, s, t, memo)
         tops = _chain(rows, steps, entry, rows[v], s, t)
         cuts = None  # the parent's _grow_table, made at its first child walked
-        empty = (n - v - 1) * base  # the copies later vertices add when isolated
-        for back, extra, ctop in zip(reversed(backs), reversed(vals), reversed(tops)):
+        for back, ctop in zip(reversed(backs), reversed(tops)):
             cmask = mask | canon[v][back]
             if ctop < best_value or (ctop == best_value and cmask >= best_mask):
                 continue
@@ -403,17 +394,14 @@ def _scan_free_max(n, k, s, t):
                 cuts = _grow_table(adj, nu, grow, allowed)
             cnu = nu + 1 if back & grow else nu
             cgrow = _handed_grow(cuts, grow, v, back)
-            if cnu == k and v < n - 2:  # the child's own widest completion bounds it
+            if cnu == k:  # the child's own widest completion bounds it
                 rows, entry = _completion(adj, n, ((2 << v) - 1) & ~cgrow, s, t, memo)
                 ctop = min(ctop, entry + _path_gain(rows, back, s, t, rows[v]))
                 if ctop < best_value or (ctop == best_value and cmask >= best_mask):
                     continue
-            if ctop == value + extra + empty:  # the empty completion is a best leaf
-                best_value, best_mask = ctop, cmask
-                continue
-            rec(_child(adj, back), cnu, cgrow, value + extra, cmask, ctop)
+            rec(_child(adj, back), cnu, cgrow, cmask, ctop)
 
-    rec([], 0, 0, 0, 0, _completion([], n, -1, s, t, {})[1])  # the root's entry: K_n
+    rec([], 0, 0, 0, _completion([], n, -1, s, t, {})[1])  # the root's entry: K_n
     return best_value, best_mask
 
 

@@ -465,35 +465,6 @@ def test_max_over_free_matches_leaf_recount_reference():
                 assert (w.value, w.graph.edges()) == expected, (n, k, s, t)
 
 
-def _unbounding_table(adj, n, reach, s, t, memo):  # a completion count no leaf reaches
-    return oracle._completion_rows(adj, n, reach), 1 << 40
-
-
-def test_last_vertex_keeps_the_smallest_tied_back_row(monkeypatch):
-    # the tables only bound the leaves; with entries that prune nothing and
-    # never tie a child's empty completion, every tie is decided by the last
-    # vertex, whose least completion keeps the smallest-mask witness (the
-    # widest allowed back-row gives (4, 1, 1), where every graph ties, the
-    # witness {(1,2),(1,3),(1,4)}).  With n <= 5 and k < n // 2, so k <= 1,
-    # every parent above the last vertex is bounded, so no subtree above it
-    # reads a loosened entry as its value: the rule runs at last vertices only
-    monkeypatch.setattr(oracle, "_completion", _unbounding_table)
-    least, resolved = oracle._least_free_edges, set()
-
-    def recording(rows, v, s, t):
-        resolved.add(len(rows) - v)
-        return least(rows, v, s, t)
-
-    monkeypatch.setattr(oracle, "_least_free_edges", recording)
-    for n in range(1, 6):
-        for k in range(n // 2):
-            for s, t in [(s, None) for s in range(1, n + 1)] + [(1, 2), (2, 2), (2, 3)]:
-                value, mask = ref_scan_free_max(n, k, s, t)
-                w = max_over_free(n, k, s, t)
-                assert (w.value, w.graph.edges()) == (value, graph_from_mask(n, mask).edges()), (n, k, s, t)
-    assert resolved == {1}  # only last vertices
-
-
 def test_pruned_seven_vertex_scans_match_reference():
     for k, s, t in ((2, 2, None), (2, 3, None), (2, 1, 2), (2, 2, 2), (1, 2, None), (1, 1, 2)):
         value, mask = ref_scan_free_max(7, k, s, t)
@@ -564,13 +535,22 @@ def test_completion_bound_prunes_above_the_last_vertex(counted):
 def test_loose_bound_skipped_when_it_cannot_prune(counted):
     calls = counted("_clique_gain")
     assert max_over_free(7, 1, 2).value == 6
-    assert calls[0] < 1_000  # 318; 1,597 with every last vertex bounded before its matching tests
+    assert calls[0] < 1_000  # 259; 1,597 with every last vertex bounded before its matching tests
 
 
 def test_child_table_cuts_the_last_level_chains(counted):
     calls = counted("_clique_gain")
     assert max_over_free(7, 2, 2).value == 11
-    assert calls[0] <= 25_000  # 14,288; 60,880 with a chain of 6 gains per last-level parent
+    assert calls[0] <= 25_000  # 11,166; 60,880 with a chain of 6 gains per last-level parent
+
+
+def test_own_bound_cuts_the_last_level_children(counted):
+    # the child's own widest completion bounds it at every level, so the
+    # children of the parents above the last vertex are cut before they
+    # are built
+    calls = counted("_child")
+    assert max_over_free(7, 2, 2).value == 11
+    assert calls[0] <= 320  # 297; 1,403 with the own bound skipped there
 
 
 def test_scan_tabulates_each_allowed_back_row_set_once(counted):
@@ -882,27 +862,15 @@ def test_degree_closure_inherits_the_parents_grow(counted):
     assert probes[0] <= 4_800  # 652 grow + 480 D(Q); 5,405 grow probes with grow afresh at every node
 
 
-def test_tied_tasks_stop_at_the_empty_completion(counted):
-    # where every completion ties, a child's table entry equals its own
-    # count with later vertices isolated, so the scan records that empty
-    # completion instead of walking the ties below it
+def test_tied_scans_find_the_empty_witness_in_few_gains(counted):
+    # where every graph below the root ties, each subtree's entry ties the
+    # best, so the scan walks down to the last vertices, whose least
+    # completions keep the empty graph's smallest mask
     # (an unbounded scan such as (7, 3, 1) is one least completion instead)
     calls = counted("_clique_gain")
-    for args, value, limit in (((7, 1, 1), 7, 100),     # 0; 189 walking the ties
-                               ((7, 2, 4, 3), 0, 900),  # 366; 1,539
-                               ((7, 2, 1), 7, 700)):    # 0; 1,361
-        calls[0] = 0
-        w = max_over_free(*args)
-        assert (w.value, w.graph.edges()) == (value, []), args
-        assert calls[0] < limit, (args, calls[0])
-
-
-def test_every_parent_tabulates_so_ties_stop_at_once(counted):
-    # with a table at every level above the last vertex, the root's single
-    # child already ties its entry, and a tie found deeper is not walked
-    calls = counted("_clique_gain")
-    for args, value, limit in (((7, 2, 1), 7, 1),         # 0; 1,983 with tables only at some levels
-                               ((7, 2, 4, 3), 0, 1_001)):  # 366; 2,007
+    for args, value, limit in (((7, 1, 1), 7, 100),     # 86; 0 recording each empty completion at its child
+                               ((7, 2, 4, 3), 0, 900),  # 721; 366
+                               ((7, 2, 1), 7, 700)):    # 609; 0
         calls[0] = 0
         w = max_over_free(*args)
         assert (w.value, w.graph.edges()) == (value, []), args
@@ -952,8 +920,8 @@ def test_least_free_edges_lie_inside_every_subgraph_keeping_the_count(g, data):
 
 
 def test_least_completion_reports_the_count_of_the_rows_it_reads(monkeypatch):
-    # each subtree the rule resolves reports ``top``, its parent's entry or,
-    # at the last vertex, the count with v joined to all it may: that must
+    # each subtree the rule resolves reports ``top``, the entry its parent
+    # handed down, which at the last vertex joins v to all it may: that must
     # be the count of the widest completion whose free edges the rule keeps
     least, seen = oracle._least_free_edges, []
 
@@ -978,10 +946,10 @@ def test_one_completion_count_per_parent_and_reach(counted):
     # parent's allowed set, whose completion the table has just counted
     counts = counted("_clique_top_sum")
     assert max_over_free(7, 2, 2).value == 11
-    assert counts[0] <= 630  # 622; 650 counting the own bounds apart from the table
+    assert counts[0] <= 1_000  # 857; 2,372 counting each completion afresh
     counts[0] = 0
     assert max_over_free(7, 1, 2).value == 6
-    assert counts[0] <= 60  # 57; 65 likewise
+    assert counts[0] <= 80  # 66; 117 likewise
 
 
 def _joined_to_all(adj, n):
@@ -1008,7 +976,7 @@ def test_widest_child_inherits_its_parents_entry(g, data):
     assert top == _clique_top_sum(_joined_to_all(widest, n), s, t) == tops[below]
     base = _clique_sum([], 0, 0, s - 1, t)
     assert (_clique_top_sum(widest, s, t)
-            == _clique_top_sum(g.adj, s, t) + base + oracle._path_gain(g.adj, below, s, t))
+            == _clique_top_sum(g.adj, s, t) + base + oracle._path_gain(g.adj, below, s, t, 0))
 
 
 def test_unbounded_scans_gain_once_per_edge_of_the_complete_graph(counted):

@@ -73,10 +73,12 @@ MUTANTS = [
      "                if ctop <= best_value or",
      [f"{TESTS}::test_max_over_free_matches_leaf_recount_reference",
       f"{TESTS}::test_pruned_seven_vertex_scans_match_reference"]),
-    ("empty-completion-counts-v-twice", ORACLE,
-     "empty = (n - v - 1) * base",
-     "empty = (n - v) * base",
-     [f"{TESTS}::test_tied_tasks_stop_at_the_empty_completion"]),
+    ("own-bound-skips-the-last-parents", ORACLE,
+     "if cnu == k:  # the child's own widest completion bounds it",
+     "if cnu == k and v < n - 2:  # the child's own widest completion bounds it",
+     [f"{TESTS}::test_max_over_free_matches_leaf_recount_reference",
+      f"{TESTS}::test_pruned_seven_vertex_scans_match_reference",
+      f"{TESTS}::test_least_completion_reports_the_count_of_the_rows_it_reads"]),
     ("missable-probes-one-size-short", MATCHING,
      "if _exists_matching(adj, free ^ b, r):",
      "if _exists_matching(adj, free ^ b, r - 1):",
