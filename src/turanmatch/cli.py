@@ -46,9 +46,12 @@ def _decimals(text: str, count: int, usage: str) -> list[int]:
     """The ``count`` comma-separated numbers of ``text``, each written as the
     file format writes one (no sign, no leading zero); else ValueError(usage)."""
     parts = text.split(",")
-    if len(parts) != count or not all(_is_decimal(p) for p in parts):
-        raise ValueError(usage)
-    return [int(p) for p in parts]
+    if len(parts) == count and all(_is_decimal(p) for p in parts):
+        try:
+            return [int(p) for p in parts]
+        except ValueError:  # beyond the interpreter's integer-string digit limit
+            pass
+    raise ValueError(usage)
 
 
 # ---------------------------------------------------------------------------

@@ -7,10 +7,7 @@ made complete: an s-"clique" of X is then any s-subset of X, and its common
 neighborhood is taken in Y.  Plain clique counts (t = 0) close their two
 cheapest levels by popcount instead of a call per vertex, and an edge's gain
 (``_clique_gain``), the exhaustive scans' unit of counting, makes no call
-for a term that is 0 or two binomials.  Where only whether a count is
-nonzero matters, one existence kernel, ``_clique_any``, walks the same
-cliques and returns at the first that counts; ``_clique_gain_any`` reads
-an edge's gain through it, term by term.
+for a term that is 0 or two binomials.
 
 All counts are of subgraph copies, not induced copies: the independent side of
 a pattern may carry extra host edges.  Counts are plain Python integers, so
@@ -76,32 +73,6 @@ def _clique_sum(adj, cand: int, common: int, s: int, t: int) -> int:
     return total
 
 
-def _clique_any(adj, cand: int, common: int, s: int, t: int) -> bool:
-    """Whether ``_clique_sum(adj, cand, common, s, t)`` is nonzero: some
-    s-clique K inside ``cand`` with |common & N(K)| >= t.
-
-    Cliques grow as in ``_clique_sum``, and the search returns at the first
-    such K.  ``common`` only shrinks as K grows, so a branch whose common
-    set is already below t returns at once.
-    """
-    if s < 0 or t < 0 or common.bit_count() < t:
-        return False
-    if s == 0:
-        return True
-    while cand:
-        if cand.bit_count() < s:
-            return False
-        b = cand & -cand
-        cand ^= b
-        row = adj[b.bit_length() - 1]
-        if s == 1:
-            if (common & row).bit_count() >= t:
-                return True
-        elif _clique_any(adj, cand & row, common & row, s - 1, t):
-            return True
-    return False
-
-
 def _clique_top_sum(adj, s: int, t: int) -> int:
     """Sum of C(|common neighborhood|, t) over all s-cliques.
 
@@ -137,22 +108,6 @@ def _clique_gain(adj, ru: int, rv: int, s: int, t: int) -> int:
             gain += _clique_sum(adj, both, ru, s - 1, t - 1)
             gain += _clique_sum(adj, both, rv, s - 1, t - 1)
     return gain
-
-
-def _clique_gain_any(adj, ru: int, rv: int, s: int, t: int) -> bool:
-    """Whether ``_clique_gain(adj, ru, rv, s, t)`` is nonzero: some copy
-    uses the absent edge uv.  Its three terms are tested in turn, each by
-    ``_clique_any``, which stops at the first copy; at s = 1 the crossing
-    terms are C(|N(u)|, t-1) + C(|N(v)|, t-1), nonzero when either
-    neighborhood has at least t - 1 vertices."""
-    both = ru & rv
-    if s >= 2 and _clique_any(adj, both, both, s - 2, t):
-        return True
-    if t < 1:
-        return False
-    if s == 1:
-        return max(ru.bit_count(), rv.bit_count()) >= t - 1
-    return _clique_any(adj, both, ru, s - 1, t - 1) or _clique_any(adj, both, rv, s - 1, t - 1)
 
 
 def count_cliques(g: Graph, s: int) -> int:

@@ -26,7 +26,7 @@ from functools import partial
 from itertools import combinations, combinations_with_replacement
 from math import comb
 
-from .counting import _bip_sum, _clique_gain, _clique_gain_any, _clique_top_sum
+from .counting import _bip_sum, _clique_gain, _clique_top_sum
 from .errors import CapacityError, ParameterRangeError
 from .extremal import ExtremalParams, bip_split_count, bip_split_count_sym
 from .graph import BipartiteGraph, Graph, _check_vertex_count, extremal_graph
@@ -266,21 +266,32 @@ def _path_gain(adj, back, s, t, joined) -> int:
 def _least_free_edges(rows, v, s, t) -> int:
     """The edge mask, in the slot order of len(rows) vertices, of the free
     edges of ``rows`` (those at v or a later vertex) that some copy uses:
-    each one whose ``_clique_gain`` is nonzero, tested by
-    ``_clique_gain_any``, which stops at the first copy.  Copies never
-    fall when edges are added, so a subgraph over the free edges keeps the
-    count of ``rows`` exactly when it keeps every edge some copy uses, and
-    these edges with the others of ``rows`` form the least such subgraph,
-    inside every other and so the one with the smallest mask."""
-    canon = _BACK_MASKS[len(rows)]
+    each one whose ``_clique_gain`` is nonzero.  Copies never fall when
+    edges are added, so a subgraph over the free edges keeps the count of
+    ``rows`` exactly when it keeps every edge some copy uses, and these
+    edges with the others of ``rows`` form the least such subgraph, inside
+    every other and so the one with the smallest mask.
+
+    ``rows`` must be a widest completion: v and every later vertex joined
+    to v's back-row and to each other.  Those vertices are then twins, and
+    swapping two of them maps copies to copies, so an edge (u, z) with u
+    in the back-row is used for every z >= v exactly when (u, v) is, and
+    every edge between two of them exactly when (v, v + 1) is.  One gain
+    per back-row vertex and one for (v, v + 1) test every orbit."""
+    n = len(rows)
+    canon = _BACK_MASKS[n]
+    back = rows[v] & ((1 << v) - 1)
+    used = twins = 0
+    while back:
+        low = back & -back
+        back ^= low
+        if _clique_gain(rows, rows[low.bit_length() - 1] ^ 1 << v, rows[v] ^ low, s, t):
+            used |= low
+    if v + 1 < n and _clique_gain(rows, rows[v] ^ 2 << v, rows[v + 1] ^ 1 << v, s, t):
+        twins = ((1 << n) - 1) ^ ((1 << v) - 1)
     kept = 0
-    for z in range(v, len(rows)):
-        back = rows[z] & ((1 << z) - 1)
-        while back:
-            low = back & -back
-            back ^= low
-            if _clique_gain_any(rows, rows[low.bit_length() - 1] ^ 1 << z, rows[z] ^ low, s, t):
-                kept |= canon[z][low]
+    for z in range(v, n):
+        kept |= canon[z][(used | twins) & ((1 << z) - 1)]
     return kept
 
 
@@ -341,9 +352,12 @@ def _scan_free_max(n, k, s, t):
       subgraph keeps it exactly when it keeps every free edge some copy
       uses: the completion less each free edge whose gain is 0
       (``_least_free_edges``) lies inside every best of the subtree, so it
-      has the smallest mask, whatever order the edges are cleared in.  The
-      count is the parent's entry ``top``, exact there.  Above the last
-      vertex such a parent has nu < k (nu <= v // 2 < n // 2), so ``top``
+      has the smallest mask, whatever order the edges are cleared in.  In
+      that completion v and the later vertices are twins, each joined to
+      ``allowed`` and to the others, so one edge gain decides each orbit
+      of free edges under their swaps.  The count is the parent's entry
+      ``top``, exact there.  Above the last vertex such a parent has
+      nu < k (nu <= v // 2 < n // 2), so ``top``
       is the root's (K_n) or an entry of a table at ``reach`` -1.  At the
       last vertex v = n - 1, a parent with nu < k has every back-row
       allowed, and its entry, at ``reach`` -1 (its own parent has nu < k)

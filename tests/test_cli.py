@@ -100,6 +100,22 @@ def test_cover_output(tmp_path, capsys):
         assert code == 2 and out == "" and err == "error: --bipartite expects nx,ny\n", parts
 
 
+def test_flag_numbers_past_the_digit_limit_are_usage_errors(tmp_path, capsys):
+    # int() refuses a decimal string longer than the interpreter's limit
+    # (4,300 digits by default); the flag's usage line reports it, as the
+    # file reader reports such a number as a malformed line
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        pytest.skip("this interpreter has no integer-string digit limit")
+    huge = "1" * (limit + 1)
+    path = tmp_path / "g.txt"
+    path.write_text("2 1\n1 2\n")
+    assert run(capsys, "count", "--input", str(path), "--pattern", f"clique:{huge}") == (
+        2, "", "error: --pattern expects clique:S, star:S,T or bip:S,T\n")
+    assert run(capsys, "cover", "--input", str(path), "--bipartite", f"1,{huge}") == (
+        2, "", "error: --bipartite expects nx,ny\n")
+
+
 def test_matching_commands_reach_the_graph_cap(tmp_path, capsys):
     path = tmp_path / "g64.txt"
     path.write_text(serialize_graph(extremal_graph(64, 20, 30)))

@@ -513,10 +513,10 @@ def test_vertex_scan_tests_matchings_once_per_parent_vertex(counted):
 
 
 def test_last_vertex_bound_skips_most_leaf_tables(counted):
-    # counts the least-completion rule's per-edge tests, one per edge of K_6
-    calls = counted("_clique_gain_any")
+    # counts the least-completion rule's tests: K_6's edges are one orbit
+    calls = counted("_clique_gain")
     assert max_over_free(6, 5, 2).value == 15
-    assert calls[0] < 12_000  # 15; 32,767 edge gains when every parent builds its 2^5 table
+    assert calls[0] < 12_000  # 1; 32,767 edge gains when every parent builds its 2^5 table
 
 
 def test_last_vertex_bound_comes_before_the_matching_tests(counted):
@@ -526,10 +526,10 @@ def test_last_vertex_bound_comes_before_the_matching_tests(counted):
 
 
 def test_completion_bound_prunes_above_the_last_vertex(counted):
-    # counts the least-completion rule's per-edge tests, one per edge of K_7
-    calls = counted("_clique_gain_any")
+    # counts the least-completion rule's tests: K_7's edges are one orbit
+    calls = counted("_clique_gain")
     assert max_over_free(7, 3, 3).value == 35
-    assert calls[0] < 1_000  # 21; 234,982 edge gains when only the last vertex is bounded
+    assert calls[0] < 1_000  # 1; 234,982 edge gains when only the last vertex is bounded
 
 
 def test_loose_bound_skipped_when_it_cannot_prune(counted):
@@ -866,11 +866,14 @@ def test_tied_scans_find_the_empty_witness_in_few_gains(counted):
     # where every graph below the root ties, each subtree's entry ties the
     # best, so the scan walks down to the last vertices, whose least
     # completions keep the empty graph's smallest mask
-    # (an unbounded scan such as (7, 3, 1) is one least completion instead)
+    # (an unbounded scan such as (7, 3, 1) is one least completion instead);
+    # each count is the tables' and bounds' gains plus the least
+    # completions' tests, one per twin orbit (the second figure testing
+    # every free edge)
     calls = counted("_clique_gain")
-    for args, value, limit in (((7, 1, 1), 7, 100),     # 86; 0 recording each empty completion at its child
-                               ((7, 2, 4, 3), 0, 900),  # 721; 366
-                               ((7, 2, 1), 7, 700)):    # 609; 0
+    for args, value, limit in (((7, 1, 1), 7, 100),     # 86 + 13 = 99; 86 + 13
+                               ((7, 2, 4, 3), 0, 900),  # 721 + 105 = 826; 721 + 110
+                               ((7, 2, 1), 7, 810)):    # 609 + 105 = 714; 609 + 110
         calls[0] = 0
         w = max_over_free(*args)
         assert (w.value, w.graph.edges()) == (value, []), args
@@ -879,44 +882,77 @@ def test_tied_scans_find_the_empty_witness_in_few_gains(counted):
 
 def test_unbounded_scans_walk_no_level_and_build_no_table(counted):
     # where no graph can exceed k the root's subtree is the whole scan, and
-    # the least-completion rule resolves it from K_n: one existence test
-    # per edge, no table and no chain
-    gains = counted("_clique_gain_any")
+    # the least-completion rule resolves it from K_n: one gain test for
+    # the one orbit of its edges, no table and no chain
+    gains = counted("_clique_gain")
     steps = counted("_steps")
     assert max_over_free(6, 5, 2, 3).value == 60
-    assert gains[0] <= 15 and steps[0] == 0  # 15 and 0; 20 walking the widest child, 83 and 6 tabulating
+    assert gains[0] <= 15 and steps[0] == 0  # 1 and 0; 20 walking the widest child, 83 and 6 tabulating
     gains[0] = 0
     assert max_over_free(7, 3, 3).value == 35
-    assert gains[0] <= 21  # 21; 27 walking the widest child, 177 with a table at every level
+    assert gains[0] <= 21  # 1; 27 walking the widest child, 177 with a table at every level
     assert steps[0] == 0
     assert max_over_free(7, 2, 2).value == 11 and steps[0] > 0  # a bounded scan tabulates
 
 
-@given(graphs(min_n=1, max_n=6), st.data())
-def test_least_free_edges_lie_inside_every_subgraph_keeping_the_count(g, data):
-    # over the free edges (at v or a later vertex), the subgraphs keeping the
-    # count of g are those keeping every edge some copy uses: the rule's
-    # edges are the smallest such mask and lie inside every other
-    n = g.n
-    v = data.draw(st.integers(0, n - 1))
-    s = data.draw(st.integers(1, 4))
-    t = data.draw(st.integers(0, 3))
+def _widest_completion(adj, allowed, n):
+    """The rows the scan's least-completion rule reads below the parent rows
+    ``adj``: v = len(adj) and every later vertex, up to n, joined to the
+    back-row set ``allowed`` and to each other."""
+    v = len(adj)
+    free = ((1 << n) - 1) ^ ((1 << v) - 1)
+    rows = [row | free if allowed >> u & 1 else row for u, row in enumerate(adj)]
+    return rows + [(allowed | free) ^ 1 << z for z in range(v, n)]
+
+
+@given(graphs(min_n=0, max_n=5), st.integers(1, 6), st.integers(0, 31),
+       st.integers(1, 4), st.integers(0, 3))
+@example(Graph(0), 4, 0, 4, 0)  # K_4 at v = 0: every edge in the twin orbit
+@example(complete_graph(3), 1, 0b111, 4, 0)  # K_4 at v = n - 1: only back-row edges
+def test_least_free_edges_lie_inside_every_subgraph_keeping_the_count(g, later, allowed, s, t):
+    # over the free edges (at v or a later vertex) of a widest completion,
+    # the subgraphs keeping its count are those keeping every edge some copy
+    # uses: the rule's edges are the smallest such mask and lie inside every
+    # other
+    v = g.n
+    n = min(v + later, 6)
+    allowed &= (1 << v) - 1
+    rows = _widest_completion(g.adj, allowed, n)
     slots = oracle._EDGE_SLOTS[n]
-    edges = sum(1 << i for i, (a, b) in enumerate(slots) if g.adj[a] >> b & 1)
+    edges = sum(1 << i for i, (a, b) in enumerate(slots) if rows[a] >> b & 1)
     free = sum(1 << i for i, (a, b) in enumerate(slots) if b >= v) & edges
     assume(free.bit_count() <= 10)
-    count = _clique_top_sum(g.adj, s, t)
+    count = _clique_top_sum(rows, s, t)
     keeping, sub = [], 0
     while True:  # every subset of the free edges, ascending
-        rows = oracle._rows_from_mask(n, edges ^ free | sub, slots)
-        if _clique_top_sum(rows, s, t) == count:
+        if _clique_top_sum(oracle._rows_from_mask(n, edges ^ free | sub, slots), s, t) == count:
             keeping.append(sub)
         if sub == free:
             break
         sub = (sub - free) & free
-    least = oracle._least_free_edges(list(g.adj), v, s, t)
+    least = oracle._least_free_edges(rows, v, s, t)
     assert least == keeping[0]
     assert all(least & ~sub == 0 for sub in keeping)
+
+
+@given(graphs(min_n=0, max_n=5), st.integers(1, 7), st.integers(0, 31),
+       st.integers(1, 5), st.integers(0, 3))
+def test_widest_completion_gains_are_constant_on_twin_orbits(g, later, allowed, s, t):
+    # v and the later vertices of a widest completion are twins, so swapping
+    # two of them maps copies to copies: an edge's gain is the same for
+    # every edge of its orbit, which the least-completion rule tests once
+    v = g.n
+    n = min(v + later, 7)
+    allowed &= (1 << v) - 1
+    rows = _widest_completion(g.adj, allowed, n)
+
+    def gain(a, b):  # the copies through the edge ab of ``rows``
+        return _clique_gain(rows, rows[a] ^ 1 << b, rows[b] ^ 1 << a, s, t)
+
+    for u in range(v):
+        if allowed >> u & 1:
+            assert len({gain(u, z) for z in range(v, n)}) == 1, u
+    assert len({gain(z, w) for z, w in combinations(range(v, n), 2)}) <= 1
 
 
 def test_least_completion_reports_the_count_of_the_rows_it_reads(monkeypatch):
@@ -979,16 +1015,17 @@ def test_widest_child_inherits_its_parents_entry(g, data):
             == _clique_top_sum(g.adj, s, t) + base + oracle._path_gain(g.adj, below, s, t, 0))
 
 
-def test_unbounded_scans_gain_once_per_edge_of_the_complete_graph(counted):
-    # a scan in which no graph can exceed k is one rule at the root: one
-    # existence test per edge of K_n, whatever the pattern
-    gains = counted("_clique_gain_any")
-    for n in range(2, 8):
+def test_unbounded_scans_make_one_gain_test(counted):
+    # a scan in which no graph can exceed k is one rule at the root, and
+    # the edges of K_n are one orbit of its twin vertices: one gain test,
+    # whatever the pattern (C(n, 2) testing each edge)
+    gains = counted("_clique_gain")
+    for n in range(2, 9):
         for k in (n // 2, n):
             for s, t in ((2, None), (3, None), (1, 2), (2, 3), (n + 1, None)):
                 gains[0] = 0
                 max_over_free(n, k, s, t)
-                assert gains[0] == comb(n, 2), (n, k, s, t)
+                assert gains[0] == 1, (n, k, s, t)
 
 
 def test_grow_tables_cut_the_probes(counted):
